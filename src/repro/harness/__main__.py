@@ -1,774 +1,247 @@
-"""Command-line entry point: ``python -m repro.harness <experiment>``."""
+"""Command-line entry point: ``python -m repro.harness {list,run,analyze,diff}``.
+
+A bare ``NAME`` means ``run NAME``.  Every run takes one path:
+:func:`~repro.harness.registry.prepare` checks its ``-O`` options before
+anything simulates, and one :func:`~repro.harness.registry.observe`
+wiring builds the telemetry and writes the ``--emit`` artifacts.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import repro.cluster.network as network_mod
 import repro.faults as faults
-import repro.obs as obs
-from repro.traffic import parse_traffic_spec
 from repro.harness import registry
 from repro.harness.runner import SCALE_PAPER, SCALE_QUICK
 from repro.obs import (
     DEFAULT_HZ,
-    LiveConsole,
-    Sampler,
-    SamplingProfiler,
-    Telemetry,
-    ZoneProfiler,
-    attach_store,
-    analyze,
-    check_tolerances,
     diff_runs,
-    metrics_dict,
     parse_slo_spec,
     parse_tolerance_spec,
     profile_dict,
     profile_shard_dir,
     render_analysis,
     render_diff,
-    slo_violation_predicate,
-    summary_table,
-    write_chrome_trace,
-    write_html_report,
-    write_metrics,
-    write_prometheus,
-    write_series_csv,
 )
 
-EXPERIMENTS = [
-    "table1", "fig1", "fig2", "fig9", "fig10",
-    "fig11", "fig12", "fig13", "fig14", "fig15",
-]
-
-#: Extensions beyond the paper's evaluation (not part of `all`).
-EXTENSIONS = ["scaleout", "ablations", "chaos", "scale"]
-
-#: Offline analysis tools over previously exported runs (ISSUE 4).
-TOOLS = ["analyze", "diff"]
-
-#: Registry commands (ISSUE 10): ``list`` prints the discovered registry,
-#: ``run <name>`` executes any registered experiment by name.
-COMMANDS = ["list", "run"]
+#: The paper's evaluation, in order: what ``all`` runs.
+EXPERIMENTS = ["table1", "fig1", "fig2", "fig9", "fig10",
+               "fig11", "fig12", "fig13", "fig14", "fig15"]
 
 
-def _load_metrics_doc(parser, flag: str, path: str) -> dict:
-    """Load an exported metrics JSON, parser.error-ing on bad input."""
+def _checked(parse, ok=lambda value: True, bound: str = ""):
+    """An argparse ``type=``: ``parse(text)``; a usage error unless ``ok``."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return convert
+
+
+def _slo(text):
+    parse_slo_spec(text)  # validate now; each registry binds its own monitor
+    return text
+
+
+def _metrics_doc(error, flag: str, path: str) -> dict:
+    """Load an exported metrics JSON; a bad file is a usage error."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as e:
-        parser.error(f"{flag}: cannot read {path}: {e}")
+        error(f"{flag}: cannot read {path}: {e}")
     except json.JSONDecodeError as e:
-        parser.error(f"{flag}: {path} is not valid JSON: {e}")
+        error(f"{flag}: {path} is not valid JSON: {e}")
     if not isinstance(doc, dict):
-        parser.error(f"{flag}: {path} is not a metrics document (expected an object)")
+        error(f"{flag}: {path} is not a metrics document (expected an object)")
     return doc
 
 
-def main(argv=None) -> int:
+def _build_parser():
     parser = argparse.ArgumentParser(
-        prog="python -m repro.harness",
-        description="Regenerate the paper's tables and figures.",
+        prog="python -m repro.harness", description="Regenerate the paper's tables and figures."
     )
-    parser.add_argument(
-        "experiment",
-        choices=EXPERIMENTS + EXTENSIONS + TOOLS + COMMANDS + ["all"],
-        help="which table/figure to regenerate ('all' runs the paper's set); "
-        "'list' prints the experiment registry, 'run NAME' executes any "
-        "registered experiment; "
-        "'analyze' prints the critical-path blame of a saved run "
-        "(--run RUN.json), re-renders a cached run directory "
-        "(--from DIR), or profiles a shard dir (--stream-dir DIR); "
-        "'diff' compares two saved runs "
-        "(--run RUN.json --baseline BASE.json)",
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    opt, top_k, tolerance = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    opt.add_argument("-O", "--opt", metavar="KEY=VALUE", type=_checked(registry.parse_option),
+                     action="append", default=[], help="an option the experiment declares "
+                     "(see 'list'); VALUE is parsed as JSON when it can be")
+    top_k.add_argument("--top-k", metavar="N", type=_checked(int, lambda v: v > 0, "> 0"),
+                       default=10, help="slowest-request digest length (default 10)")
+    tolerance.add_argument("--tolerance", metavar="SPEC", type=_checked(parse_tolerance_spec),
+                           help="relative diff tolerances, e.g. 'p99=0.10,default=0.02'; "
+                           "exit 1 when exceeded")
+    commands.add_parser("list", help="print the experiment registry").set_defaults(
+        handler=lambda args: print(registry.format_listing()) or 0
     )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="experiment name for the 'run' command (see 'list')",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=["quick", "paper"],
-        default="paper",
-        help="experiment size (quick = CI-sized runs)",
-    )
-    parser.add_argument(
-        "--system",
-        choices=["strings", "design2", "rain"],
-        default="strings",
-        help="runtime system for the scaleout extension "
-        "(strings = Design III, design2 = shared-master Design II, "
-        "rain = Design I; other experiments fix their own systems)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome trace_event JSON of the run(s) to PATH "
-        "(open in Perfetto / chrome://tracing)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write a flat JSON dump of all collected metrics to PATH",
-    )
-    parser.add_argument(
-        "--report",
-        metavar="PATH",
-        default=None,
-        help="write a self-contained HTML run report (per-GPU sparklines, "
-        "tenant attribution, SLO summary) to PATH",
-    )
-    parser.add_argument(
-        "--series-out",
-        metavar="PATH",
-        default=None,
-        help="write the sampled time series as long-format CSV to PATH",
-    )
-    parser.add_argument(
-        "--prom-out",
-        metavar="PATH",
-        default=None,
-        help="write final metrics in Prometheus text exposition to PATH",
-    )
-    parser.add_argument(
-        "--stream-dir",
-        metavar="DIR",
-        default=None,
-        help="streaming mode (ISSUE 6): flush finished request spans to "
-        "rotating JSONL shard files under DIR instead of retaining every "
-        "span in memory, and swap quantile sketches in behind histograms "
-        "(bounded-memory 1e5-1e6-request runs; --trace/--analyze/--report "
-        "read the retained+flushed union)",
-    )
-    parser.add_argument(
-        "--span-buffer",
-        metavar="N",
-        type=int,
-        default=10_000,
-        help="streaming mode: spans buffered between shard flushes "
-        "(flushes also happen on every sampler tick; default 10000)",
-    )
-    parser.add_argument(
-        "--live",
-        metavar="SECONDS",
-        nargs="?",
-        type=float,
-        const=1.0,
-        default=None,
-        help="live run console: a periodically rewritten status line "
-        "(completed, goodput, sketch p99, SLO burn, per-GPU util, ETA) "
-        "redrawn at most every SECONDS wall-clock (default 1.0)",
-    )
-    parser.add_argument(
-        "--heartbeat",
-        metavar="PATH",
-        default=None,
-        help="append one machine-readable JSON progress record per live "
-        "console redraw to PATH (implies --live)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="HZ",
-        nargs="?",
-        type=float,
-        const=DEFAULT_HZ,
-        default=None,
-        help="wall-clock self-profiling (ISSUE 9): attach the zone-tagged "
-        "CPU ledger and an off-thread sampling profiler at HZ samples/s "
-        f"(default {DEFAULT_HZ:.0f}; HZ=0 keeps the zone ledger but skips "
-        "the stack sampler); simulated results are byte-identical either "
-        "way — only wall-clock accounting is added",
-    )
-    parser.add_argument(
-        "--flame-out",
-        metavar="PATH",
-        default=None,
-        help="write the sampled stacks as collapsed-stack text "
-        "(zone;frame;... count — flamegraph.pl/inferno input) to PATH; "
-        "requires --profile with HZ > 0",
-    )
-    parser.add_argument(
-        "--speedscope-out",
-        metavar="PATH",
-        default=None,
-        help="write the sampled stacks as a speedscope JSON profile "
-        "(open at https://www.speedscope.app) to PATH; requires "
-        "--profile with HZ > 0",
-    )
-    parser.add_argument(
-        "--traffic",
-        metavar="SPEC",
-        default=None,
-        help="generated traffic scenario for the 'scale' extension, e.g. "
-        "'poisson:rate=50,tenants=2000,churn=exp:120' "
-        "(process head poisson/onoff/diurnal plus tenants=/churn=/think=/"
-        "reqs=/duration=/apps=/nodes=/seed= knobs; see repro.traffic)",
-    )
-    parser.add_argument(
-        "--loads",
-        metavar="CSV",
-        default=None,
-        help="load multipliers the 'scale' extension sweeps over the "
-        "scenario's offered rate (default 0.25,0.5,0.75,1,1.25,1.5,2; "
-        "quick scale: 0.5,1,2)",
-    )
-    parser.add_argument(
-        "--scale-out",
-        metavar="PATH",
-        default=None,
-        help="write the 'scale' sweep (per-point goodput/latency/SLO burn "
-        "plus the detected knee) as JSON to PATH",
-    )
-    parser.add_argument(
-        "--scale-report",
-        metavar="PATH",
-        default=None,
-        help="write a self-contained HTML card of the 'scale' sweep "
-        "(goodput-vs-offered plot with knee marker) to PATH",
-    )
-    parser.add_argument(
-        "--slo",
-        metavar="SPEC",
-        default=None,
-        help="SLO targets, e.g. 'MC:2.5,*:30:0.99,window=20' "
-        "(APP:LATENCY_S[:FRACTION], APP@THROUGHPUT_RPS, window=SECONDS)",
-    )
-    parser.add_argument(
-        "--sample-interval",
-        metavar="SIM_SECONDS",
-        type=float,
-        default=1.0,
-        help="sim-time interval between sampler snapshots (default 1.0)",
-    )
-    parser.add_argument(
-        "--faults",
-        metavar="SPEC",
-        default=None,
-        help="fault plan, e.g. 'gpu_fail@30:gid=1:down=20,"
-        "backend_crash@60:gid=0:restart=2,retries=8' "
-        "(KIND@T:field=value items plus mtbf=/retries=/backoff=/warmup= "
-        "globals; see DESIGN.md §Fault Model)",
-    )
-    parser.add_argument(
-        "--link-gbps",
-        metavar="GBPS",
-        type=float,
-        default=None,
-        help="interconnect bandwidth in Gb/s (default 10.0)",
-    )
-    parser.add_argument(
-        "--link-latency-us",
-        metavar="US",
-        type=float,
-        default=None,
-        help="one-way interconnect latency in microseconds (default 120)",
-    )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="after the run, print the critical-path blame table "
-        "(per-phase/GPU/tenant, top-k slowest, engine reconciliation)",
-    )
-    parser.add_argument(
-        "--diff-against",
-        metavar="PATH",
-        default=None,
-        help="compare this run against a previously exported metrics JSON "
-        "(--metrics-out of an earlier run) and print the delta",
-    )
-    parser.add_argument(
-        "--diff-out",
-        metavar="PATH",
-        default=None,
-        help="write the run-comparison delta as a JSON artifact to PATH",
-    )
-    parser.add_argument(
-        "--run",
-        metavar="PATH",
-        default=None,
-        help="saved metrics JSON for the 'analyze'/'diff' tools",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline metrics JSON for the 'diff' tool",
-    )
-    parser.add_argument(
-        "--top-k",
-        metavar="N",
-        type=int,
-        default=10,
-        help="slowest-request digest length for --analyze (default 10)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        metavar="SPEC",
-        default=None,
-        help="per-metric relative tolerances for diffs, e.g. "
-        "'kernel=0.05,p99=0.10,default=0.02' (KEY=FRACTION items; exit 1 "
-        "when a diff exceeds them)",
-    )
-    parser.add_argument(
-        "--out-dir",
-        metavar="DIR",
-        default=None,
-        help="persist the run's artifacts (experiment.json + results.json) "
-        "to DIR, re-renderable offline via 'analyze --from DIR'",
-    )
-    parser.add_argument(
-        "--from",
-        dest="from_dir",
-        metavar="DIR",
-        default=None,
-        help="'analyze' tool: re-render the report of a cached run "
-        "directory (an earlier --out-dir) from its artifacts, without "
-        "re-simulating",
-    )
-    parser.add_argument(
-        "-O",
-        "--opt",
-        metavar="KEY=VALUE",
-        action="append",
-        default=None,
-        help="experiment option passed into the registry context, e.g. "
-        "-O policy=GMin-Rain or -O pairs='[\"G\",\"K\"]' (VALUE parsed as "
-        "JSON when possible, kept as a string otherwise; repeatable)",
-    )
-    args = parser.parse_args(argv)
-    scale = SCALE_QUICK if args.scale == "quick" else SCALE_PAPER
 
-    cli_opts = {}
-    for item in args.opt or ():
-        if "=" not in item:
-            parser.error(f"--opt expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        try:
-            cli_opts[key] = json.loads(value)
-        except json.JSONDecodeError:
-            cli_opts[key] = value
+    run = commands.add_parser("run", parents=[opt, top_k, tolerance],
+                              help="run an experiment (a bare NAME means 'run NAME')")
+    run.add_argument("experiment", metavar="NAME", help="see 'list'; 'all' = the paper's set")
+    run.add_argument("--scale", choices=["quick", "paper"], default="paper",
+                     help="experiment size (quick = CI-sized runs)")
+    run.add_argument("--out-dir", metavar="DIR", help="write experiment.json (the manifest), "
+                     "results.json and the --emit artifacts under DIR")
+    run.add_argument("--emit", metavar="KINDS", type=_checked(registry.parse_emit),
+                     default=frozenset(), help="comma list: " + ", ".join(registry.ARTIFACTS))
+    run.add_argument("--slo", metavar="SPEC", type=_checked(_slo),
+                     help="SLO targets, e.g. 'MC:2.5,*:30:0.99,window=20'")
+    run.add_argument("--sample-interval", metavar="SIM_S", default=1.0,
+                     type=_checked(float, lambda v: v > 0, "> 0 sim-seconds"),
+                     help="sim time between sampler snapshots (default 1.0)")
+    run.add_argument("--span-buffer", metavar="N", type=_checked(int, lambda v: v >= 1, ">= 1"),
+                     default=10_000, help="spans buffered between shard flushes (default 10000)")
+    run.add_argument("--live", metavar="SECONDS", nargs="?", const=1.0,
+                     type=_checked(float, lambda v: v > 0, "> 0 wall-seconds"),
+                     help="live status line, redrawn at most every SECONDS (default 1.0)")
+    run.add_argument("--profile", metavar="HZ", nargs="?", const=DEFAULT_HZ,
+                     type=_checked(float, lambda v: v >= 0, ">= 0 Hz"),
+                     help=f"zone CPU ledger plus a stack sampler at HZ (default {DEFAULT_HZ:.0f}; "
+                     "0 = ledger only)")
+    run.add_argument("--faults", metavar="SPEC", type=_checked(faults.parse_fault_spec),
+                     help="fault plan, e.g. 'gpu_fail@30:gid=1:down=20,retries=8'")
+    run.add_argument("--link-gbps", metavar="GBPS", type=_checked(float, lambda v: v > 0, "> 0"),
+                     help="interconnect bandwidth in Gb/s (default 10.0)")
+    run.add_argument("--link-latency-us", metavar="US",
+                     type=_checked(float, lambda v: v >= 0, ">= 0"),
+                     help="one-way interconnect latency in microseconds (default 120)")
+    run.add_argument("--analyze", action="store_true", help="print the critical-path blame")
+    run.add_argument("--diff-against", metavar="PATH", help="diff the run against a metrics.json")
+    run.set_defaults(handler=_run, error=run.error)
 
-    # -- registry commands (ISSUE 10) --------------------------------------
-    if args.experiment == "list":
-        if args.target is not None:
-            parser.error("'list' takes no experiment name")
-        print(registry.format_listing())
-        return 0
-    if args.experiment == "run":
-        if args.target is None:
-            parser.error(
-                "'run' needs an experiment name "
-                "(see 'python -m repro.harness list')"
-            )
-        try:
-            args.experiment = registry.get(args.target).name
-        except registry.UnknownExperiment as e:
-            parser.error(str(e))
-    elif args.target is not None:
-        parser.error(
-            f"unexpected argument {args.target!r} "
-            "(only 'run' takes an experiment name)"
-        )
-    if args.from_dir is not None and args.experiment != "analyze":
-        parser.error("--from only applies to the 'analyze' tool")
-    if args.out_dir is not None and args.experiment in TOOLS + ["all"]:
-        parser.error("--out-dir needs a single experiment run")
+    analyze = commands.add_parser("analyze", parents=[opt, top_k],
+                                  help="critical-path blame or re-render of a saved run")
+    source = analyze.add_mutually_exclusive_group(required=True)
+    source.add_argument("--run", metavar="RUN.json", help="a saved metrics.json")
+    source.add_argument("--from", dest="from_dir", metavar="DIR",
+                        help="re-render a saved --out-dir without simulating")
+    source.add_argument("--stream-dir", metavar="DIR", help="a run's span shard directory")
+    analyze.set_defaults(handler=_analyze, error=analyze.error)
 
-    if args.sample_interval <= 0:
-        parser.error(
-            f"--sample-interval must be > 0 sim-seconds, got {args.sample_interval}"
-        )
-    if args.top_k <= 0:
-        parser.error(f"--top-k must be > 0, got {args.top_k}")
-    if args.span_buffer < 1:
-        parser.error(f"--span-buffer must be >= 1, got {args.span_buffer}")
-    if args.live is not None and args.live <= 0:
-        parser.error(f"--live interval must be > 0 wall-seconds, got {args.live}")
-    if args.heartbeat is not None and args.live is None:
-        args.live = 1.0
-    if args.profile is not None and args.profile < 0:
-        parser.error(f"--profile rate must be >= 0 Hz, got {args.profile}")
-    sampling_stacks = args.profile is not None and args.profile > 0
-    for flag, value in (
-        ("--flame-out", args.flame_out),
-        ("--speedscope-out", args.speedscope_out),
-    ):
-        if value is not None and not sampling_stacks:
-            parser.error(f"{flag} requires --profile with a rate > 0 Hz")
+    diff = commands.add_parser("diff", parents=[tolerance], help="compare two metrics.json")
+    diff.add_argument("--run", metavar="RUN.json", required=True)
+    diff.add_argument("--baseline", metavar="BASE.json", required=True)
+    diff.add_argument("--diff-out", metavar="PATH", help="write the delta as JSON to PATH")
+    diff.set_defaults(handler=_diff, error=diff.error)
+    return parser, commands
 
-    tolerances = None
-    if args.tolerance is not None:
-        try:
-            tolerances = parse_tolerance_spec(args.tolerance)
-        except ValueError as e:
-            parser.error(f"--tolerance: {e}")
 
-    # A baseline for --diff-against must exist and parse *before* the
-    # experiments burn any time (mirrors the --slo/--faults validation).
-    baseline_doc = None
-    if args.diff_against is not None:
-        baseline_doc = _load_metrics_doc(parser, "--diff-against", args.diff_against)
+def parse_args(argv):
+    """Parse ``argv`` without running anything; a bare NAME means 'run NAME'."""
+    parser, commands = _build_parser()
+    argv = list(argv)
+    if argv and not argv[0].startswith("-") and argv[0] not in commands.choices:
+        argv.insert(0, "run")
+    return parser.parse_args(argv)
 
-    # -- offline tools: no simulation, just saved-run post-processing ------
-    if args.experiment == "analyze":
-        if args.from_dir is not None:
-            # Cached-run re-analysis (ISSUE 10): re-render the registered
-            # experiment's report from its saved artifacts; nothing below
-            # constructs a simulation Environment.
-            try:
-                print(registry.analyze_from(args.from_dir, options=cli_opts))
-            except (ValueError, registry.UnknownExperiment) as e:
-                parser.error(f"--from: {e}")
-            return 0
-        if args.run is None and args.stream_dir is not None:
-            # Offline shard-dir analysis: profile the stream directly
-            # from its JSONL shards, no registry or metrics export needed.
-            import os
 
-            if not os.path.isdir(args.stream_dir):
-                parser.error(f"--stream-dir: {args.stream_dir} is not a directory")
-            profile = profile_shard_dir(args.stream_dir)
-            if not profile.requests:
-                parser.error(
-                    f"--stream-dir: no finished request spans found under "
-                    f"{args.stream_dir}"
-                )
-            print(
-                render_analysis(
-                    profile_dict(profile, top_k=args.top_k), top_k=args.top_k
-                )
-            )
-            return 0
-        if args.run is None:
-            parser.error(
-                "analyze requires --run RUN.json (a --metrics-out export) "
-                "or --stream-dir DIR (a streaming run's shard directory)"
-            )
-        doc = _load_metrics_doc(parser, "--run", args.run)
-        analysis = doc.get("analysis")
-        if not analysis:
-            parser.error(
-                f"--run: {args.run} has no 'analysis' section "
-                "(re-export it with --metrics-out from this version)"
-            )
-        print(render_analysis(analysis, top_k=args.top_k))
-        return 0
-    if args.experiment == "diff":
-        if args.run is None or args.baseline is None:
-            parser.error("diff requires --run RUN.json and --baseline BASE.json")
-        doc = _load_metrics_doc(parser, "--run", args.run)
-        base = _load_metrics_doc(parser, "--baseline", args.baseline)
-        delta = diff_runs(
-            base, doc, base_label=args.baseline, other_label=args.run
-        )
-        print(render_diff(delta))
-        if args.diff_out is not None:
-            with open(args.diff_out, "w") as fh:
-                json.dump(delta, fh, indent=2, sort_keys=True)
-            print(f"[diff written to {args.diff_out}]")
-        if tolerances is not None:
-            failures = check_tolerances(delta, tolerances)
-            if failures:
-                print("tolerance check FAILED:")
-                for f in failures:
-                    print(f"  {f}")
-                return 1
-            print("tolerance check passed")
-        return 0
-    if args.link_gbps is not None and args.link_gbps <= 0:
-        parser.error(f"--link-gbps must be > 0, got {args.link_gbps}")
-    if args.link_latency_us is not None and args.link_latency_us < 0:
-        parser.error(f"--link-latency-us must be >= 0, got {args.link_latency_us}")
-
-    slo_monitor = None
-    if args.slo is not None:
-        try:
-            slo_monitor = parse_slo_spec(args.slo)
-        except ValueError as e:
-            parser.error(f"--slo: {e}")
-
-    fault_plan = None
-    if args.faults is not None:
-        try:
-            fault_plan = faults.parse_fault_spec(args.faults)
-        except ValueError as e:
-            parser.error(f"--faults: {e}")
-
-    # --traffic / --loads drive the 'scale' extension only; validate them
-    # up front (mirroring --slo/--faults) so a typo fails in milliseconds.
-    scale_flags = {
-        "--traffic": args.traffic, "--loads": args.loads,
-        "--scale-out": args.scale_out, "--scale-report": args.scale_report,
-    }
-    for flag, value in scale_flags.items():
-        if value is not None and args.experiment != "scale":
-            parser.error(f"{flag} only applies to the 'scale' extension")
-    if args.traffic is not None:
-        try:
-            parse_traffic_spec(args.traffic)
-        except ValueError as e:
-            parser.error(f"--traffic: {e}")
-    loads = None
-    if args.loads is not None:
-        try:
-            loads = tuple(
-                float(tok) for tok in args.loads.split(",") if tok.strip()
-            )
-        except ValueError:
-            parser.error(
-                f"--loads: multipliers must be numbers, got {args.loads!r}"
-            )
-        if not loads:
-            parser.error("--loads: needs at least one multiplier")
-        if any(m <= 0 for m in loads):
-            parser.error(f"--loads: multipliers must be > 0, got {args.loads!r}")
-
-    out_paths = (
-        args.trace, args.metrics_out, args.report, args.series_out,
-        args.prom_out, args.diff_out,
+def prepare_run(args):
+    """Check a parsed ``run`` and prepare its experiments, simulating nothing."""
+    error = args.error
+    if args.emit and args.out_dir is None:
+        error("--emit needs --out-dir DIR")
+    if args.emit & {"flame", "speedscope"} and not args.profile:
+        error("--emit flame/speedscope requires --profile with a rate > 0 Hz")
+    if "diff" in args.emit and args.diff_against is None:
+        error("--emit diff requires --diff-against")
+    if args.experiment == "all" and args.out_dir is not None:
+        error("--out-dir needs a single experiment run")
+    ctx = registry.ExperimentContext(
+        scale=SCALE_QUICK if args.scale == "quick" else SCALE_PAPER,
+        options=dict(args.opt),
+        out_dir=args.out_dir,
+        obs=registry.ObsSpec(
+            emit=args.emit, slo=args.slo, sample_interval=args.sample_interval,
+            span_buffer=args.span_buffer, live=args.live, profile=args.profile,
+            analyze=args.analyze, top_k=args.top_k, tolerances=args.tolerance,
+        ),
     )
-    # Fail on unwritable output paths now, not after the experiments ran.
-    for path in out_paths + (
-        args.heartbeat, args.scale_out, args.scale_report,
-        args.flame_out, args.speedscope_out,
-    ):
-        if path is not None:
-            try:
-                with open(path, "a"):
-                    pass
-            except OSError as e:
-                parser.error(f"cannot write {path}: {e}")
-
-    # -- scale: the load-to-the-knee sweep manages its own per-point
-    # telemetry registries (and per-point --stream-dir subdirectories), so
-    # it dispatches before the process-wide observing registry installs.
-    if args.experiment == "scale":
-        from repro.harness import scale as scale_tool
-
-        if args.flame_out is not None or args.speedscope_out is not None:
-            parser.error(
-                "--flame-out/--speedscope-out do not apply to the 'scale' "
-                "extension (it runs one registry per load point; use "
-                "--profile for per-point CPU ledgers in --scale-out)"
-            )
-        if args.link_gbps is not None or args.link_latency_us is not None:
-            network_mod.configure_defaults(
-                latency_s=(
-                    args.link_latency_us * 1e-6
-                    if args.link_latency_us is not None
-                    else None
-                ),
-                bandwidth_gbps=args.link_gbps,
-            )
-        if loads is None:
-            loads = (
-                (0.5, 1.0, 2.0) if args.scale == "quick"
-                else scale_tool.DEFAULT_LOADS
-            )
-        scale_tool.main(
-            traffic=(
-                args.traffic if args.traffic is not None
-                else scale_tool.DEFAULT_TRAFFIC
-            ),
-            loads=loads,
-            system=args.system,
-            seed=scale.seed,
-            stream_dir=args.stream_dir,
-            span_buffer=args.span_buffer,
-            slo=args.slo,
-            live=args.live,
-            sample_interval=args.sample_interval,
-            fault_plan=fault_plan,
-            profile=args.profile,
-            out_json=args.scale_out,
-            out_html=args.scale_report,
-            out_dir=args.out_dir,
-        )
-        return 0
-
-    # Any observing flag installs a real registry — including --metrics-out
-    # on its own, so its summary still carries span-derived p50/p99.
-    streaming = args.stream_dir is not None
-    live = args.live is not None
-    profiling = args.profile is not None
-    observing = (
-        any(p is not None for p in out_paths)
-        or slo_monitor is not None
-        or args.analyze
-        or baseline_doc is not None
-        or streaming
-        or live
-        or profiling
-    )
-    tel = obs.install(Telemetry()) if observing else obs.current()
-    if profiling:
-        # Zone-tagged CPU ledger (ISSUE 9): hot paths re-read ``tel.perf``
-        # per call, so attaching here (before any system is built) is all
-        # the wiring the sim/scheduler/backend layers need.
-        tel.perf = ZoneProfiler()
-
-    # The sampler powers the series CSV, report sparklines, windowed SLO
-    # throughput checks — and, in streaming/live mode, the shard-flush
-    # and console-redraw ticks; skip it when none of those were asked for.
-    if observing and (
-        args.report or args.series_out or args.prom_out or slo_monitor
-        or streaming or live
-    ):
-        tel.sampler = Sampler(interval_s=args.sample_interval)
-    if slo_monitor is not None:
-        tel.slo = slo_monitor.bind(tel)
-
-    store = None
-    if streaming:
-        # Point the registry's span sink at a shard store and swap in the
-        # mergeable quantile sketch behind Telemetry.histogram(); the
-        # default (non-streaming) path is untouched and byte-identical.
-        try:
-            store = attach_store(
-                tel,
-                args.stream_dir,
-                buffer_limit=args.span_buffer,
-                violation=(
-                    slo_violation_predicate(slo_monitor.targets)
-                    if slo_monitor is not None
-                    else None
-                ),
-            )
-        except OSError as e:
-            parser.error(f"--stream-dir: cannot create {args.stream_dir}: {e}")
-    if live:
-        tel.console = LiveConsole(
-            interval_s=args.live, heartbeat_path=args.heartbeat
-        )
-
-    if args.link_gbps is not None or args.link_latency_us is not None:
-        network_mod.configure_defaults(
-            latency_s=(
-                args.link_latency_us * 1e-6
-                if args.link_latency_us is not None
-                else None
-            ),
-            bandwidth_gbps=args.link_gbps,
-        )
-    if fault_plan is not None:
-        faults.install_plan(fault_plan)
-
-    profiler = None
-    if sampling_stacks:
-        profiler = SamplingProfiler(hz=args.profile, perf=tel.perf)
-        tel.profiler = profiler  # report.py reads it for the flame summary
-        profiler.start()
-
+    names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
     try:
-        targets = EXPERIMENTS if args.experiment == "all" else [args.experiment]
-        for name in targets:
-            print(f"==== {name} ".ljust(70, "="))
-            with tel.stopwatch("experiment.wall_s", experiment=name) as sw:
-                opts = dict(cli_opts)
-                if name == "scaleout":
-                    opts.setdefault("system", args.system)
-                registry.run_main(
-                    name, scale=scale, out_dir=args.out_dir, **opts
-                )
-            print(f"[{name} done in {sw.elapsed:.1f}s]\n")
+        return [registry.prepare(name, ctx) for name in names], ctx
+    except (registry.UnknownExperiment, registry.OptionError) as e:
+        error(str(e))
 
-        if profiler is not None:
-            # Freeze the sample set before any exporter reads it.
-            profiler.stop()
-        if live:
-            tel.console.close(tel)
-        if store is not None:
-            # Final flush: every completed request group (retained ones
-            # included) lands in the shards, so the directory alone is a
-            # complete record and every exporter below reads the
-            # retained+flushed union through the store.
-            store.close()
-            st = store.stats()
-            print(
-                f"[span stream: {st['spans_flushed']} spans in "
-                f"{st['shards']} shard(s) under {st['directory']}]"
-            )
 
-        delta = None
-        if baseline_doc is not None:
-            delta = diff_runs(
-                baseline_doc,
-                metrics_dict(tel),
-                base_label=args.diff_against,
-                other_label=f"this run ({args.experiment})",
-            )
-
-        if args.trace is not None:
-            write_chrome_trace(tel, args.trace)
-            print(f"[trace written to {args.trace}]")
-        if args.metrics_out is not None:
-            write_metrics(tel, args.metrics_out)
-            print(f"[metrics written to {args.metrics_out}]")
-        if args.series_out is not None:
-            write_series_csv(tel, args.series_out)
-            print(f"[series CSV written to {args.series_out}]")
-        if args.prom_out is not None:
-            write_prometheus(tel, args.prom_out)
-            print(f"[prometheus metrics written to {args.prom_out}]")
-        if delta is not None and args.diff_out is not None:
-            with open(args.diff_out, "w") as fh:
-                json.dump(delta, fh, indent=2, sort_keys=True)
-            print(f"[diff written to {args.diff_out}]")
-        if args.report is not None:
-            write_html_report(
-                tel,
-                args.report,
-                title=f"repro run report: {args.experiment}",
-                comparison=delta,
-            )
-            print(f"[HTML report written to {args.report}]")
-        if args.flame_out is not None:
-            profiler.write_collapsed(args.flame_out)
-            print(f"[collapsed stacks written to {args.flame_out}]")
-        if args.speedscope_out is not None:
-            profiler.write_speedscope(
-                args.speedscope_out,
-                name=f"repro self-profile: {args.experiment}",
-            )
-            print(f"[speedscope profile written to {args.speedscope_out}]")
-        if observing:
-            print()
-            print(summary_table(tel))
-        if profiling:
-            print()
-            print(tel.perf.format_ledger(title="CPU ledger (wall-clock zones)"))
-            if profiler is not None:
-                print(f"[profiler: {profiler.summary()}]")
-        if args.analyze:
-            print()
-            print(render_analysis(analyze(tel, top_k=args.top_k), top_k=args.top_k))
-        if delta is not None:
-            print()
-            print(render_diff(delta))
-            if tolerances is not None:
-                failures = check_tolerances(delta, tolerances)
-                if failures:
-                    print("tolerance check FAILED:")
-                    for f in failures:
-                        print(f"  {f}")
-                    return 1
-                print("tolerance check passed")
+def _run(args) -> int:
+    experiments, ctx = prepare_run(args)
+    if args.diff_against is not None:
+        doc = _metrics_doc(args.error, "--diff-against", args.diff_against)
+        ctx.obs.baseline = (args.diff_against, doc)
+    if args.out_dir is not None:
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as e:
+            args.error(f"--out-dir: cannot create {args.out_dir}: {e}")
+    network_mod.configure_defaults(
+        latency_s=None if args.link_latency_us is None else args.link_latency_us * 1e-6,
+        bandwidth_gbps=args.link_gbps,
+    )
+    if args.faults is not None:
+        faults.install_plan(args.faults)
+    try:
+        with registry.observe(ctx, args.experiment) as observed:
+            for exp in experiments:
+                print(f"==== {exp.name} ".ljust(70, "="))
+                with observed.telemetry.stopwatch("experiment.wall_s", experiment=exp.name) as sw:
+                    print(exp.analyze(registry.run_prepared(exp, ctx), ctx))
+                print(f"[{exp.name} done in {sw.elapsed:.1f}s]\n")
     finally:
-        if profiler is not None:
-            profiler.stop()  # idempotent; covers the exception path
-        if observing:
-            obs.reset()
         faults.reset_plan()
         network_mod.reset_defaults()
+    if args.out_dir is not None:
+        print(f"[run artifacts written to {args.out_dir}]")
+    return 1 if observed.failed else 0
+
+
+def _analyze(args) -> int:
+    if args.from_dir is not None:
+        # Re-render from the saved artifacts: no simulation Environment.
+        try:
+            print(registry.analyze_from(args.from_dir, options=dict(args.opt)))
+        except (ValueError, registry.UnknownExperiment) as e:
+            args.error(f"--from: {e}")
+        return 0
+    if args.stream_dir is not None:
+        profile = profile_shard_dir(args.stream_dir) if os.path.isdir(args.stream_dir) else None
+        if profile is None or not profile.requests:
+            args.error(f"--stream-dir: no finished request spans under {args.stream_dir}")
+        analysis = profile_dict(profile, top_k=args.top_k)
+    else:
+        analysis = _metrics_doc(args.error, "--run", args.run).get("analysis")
+        if not analysis:
+            args.error(f"--run: {args.run} has no 'analysis' section (export with --emit metrics)")
+    print(render_analysis(analysis, top_k=args.top_k))
     return 0
+
+
+def _diff(args) -> int:
+    doc = _metrics_doc(args.error, "--run", args.run)
+    base = _metrics_doc(args.error, "--baseline", args.baseline)
+    delta = diff_runs(base, doc, base_label=args.baseline, other_label=args.run)
+    print(render_diff(delta))
+    if args.diff_out is not None:
+        with open(args.diff_out, "w") as fh:
+            json.dump(delta, fh, indent=2, sort_keys=True)
+        print(f"[diff written to {args.diff_out}]")
+    if args.tolerance is not None and not registry.report_tolerances(delta, args.tolerance):
+        return 1
+    return 0
+
+
+def main(argv=None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

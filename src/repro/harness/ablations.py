@@ -255,7 +255,3 @@ class Ablations(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("ablations", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

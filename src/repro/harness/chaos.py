@@ -106,6 +106,8 @@ def run(
 class Chaos(registry.Experiment):
     """Chaos — zero-loss self-healing under an injected GPU loss + crash."""
 
+    options = {"policy": "system factory name (default GMin-Strings)"}
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -142,7 +144,3 @@ class Chaos(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("chaos", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

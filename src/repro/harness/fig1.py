@@ -75,7 +75,3 @@ class Fig1(registry.Experiment):
 
 def main() -> str:
     return registry.run_main("fig1")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

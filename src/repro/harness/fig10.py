@@ -117,6 +117,11 @@ def run(
 class Fig10(registry.Experiment):
     """Fig. 10 — supernode-sharing speedup per workload pair and policy."""
 
+    options = {
+        "pairs": 'pair labels, e.g. ["A","G"]',
+        "policies": "policy subset",
+    }
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -146,7 +151,3 @@ class Fig10(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("fig10", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -84,6 +84,11 @@ def run(
 class Fig11(registry.Experiment):
     """Fig. 11 — Jain's fairness of app pairs sharing one GPU under TFS."""
 
+    options = {
+        "pairs": 'pair labels, e.g. ["A","G"]',
+        "systems": "system subset",
+    }
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -112,7 +117,3 @@ class Fig11(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("fig11", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -47,6 +47,11 @@ def run(
 class Fig12(registry.Experiment):
     """Fig. 12 — GPU scheduling + sharing speedup (GWtMin with LAS/PS)."""
 
+    options = {
+        "pairs": 'pair labels, e.g. ["A","G"]',
+        "policies": "policy subset",
+    }
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -71,7 +76,3 @@ class Fig12(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("fig12", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

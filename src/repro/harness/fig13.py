@@ -41,6 +41,11 @@ def run(
 class Fig13(registry.Experiment):
     """Fig. 13 — device-scheduling benefit isolated from the sharing benefit."""
 
+    options = {
+        "pairs": 'pair labels, e.g. ["A","G"]',
+        "policies": "policy subset",
+    }
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -65,7 +70,3 @@ class Fig13(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("fig13", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -50,6 +50,11 @@ def run(
 class Fig14(registry.Experiment):
     """Fig. 14 — feedback balancing (RTF/GUF) with pre-warmed profiles."""
 
+    options = {
+        "pairs": 'pair labels, e.g. ["A","G"]',
+        "policies": "policy subset",
+    }
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -74,7 +79,3 @@ class Fig14(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("fig14", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -57,6 +57,12 @@ def run(
 class Fig15(registry.Experiment):
     """Fig. 15 — Strings-only feedback (DTF/MBF) plus the CUDA headline."""
 
+    options = {
+        "pairs": 'pair labels, e.g. ["A","G"]',
+        "policies": "policy subset",
+        "cuda_headline": "also run the CUDA-runtime headline (default true)",
+    }
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -88,7 +94,3 @@ class Fig15(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("fig15", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

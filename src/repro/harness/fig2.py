@@ -118,7 +118,3 @@ class Fig2(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("fig2", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

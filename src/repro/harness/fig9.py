@@ -89,6 +89,11 @@ def run(
 class Fig9(registry.Experiment):
     """Fig. 9 — per-app speedup of each balancing policy over the CUDA runtime."""
 
+    options = {
+        "apps": 'app shorts to run, e.g. ["GA","MC"]',
+        "policies": 'policy subset, e.g. ["GMin-Strings"]',
+    }
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -119,7 +124,3 @@ class Fig9(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:
     return registry.run_main("fig9", scale=scale)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -123,6 +123,11 @@ class PairSweep(registry.GridExperiment):
     ``-O policies='[...]'`` / ``-O pairs='[...]'`` — no new plumbing.
     """
 
+    options = {
+        "policies": 'policy axis, e.g. ["GMin-Strings"]',
+        "pairs": 'pair axis, e.g. ["A","G"]',
+    }
+
     grid = registry.ParamGrid.of(
         policy=("GMin-Strings", "GMin-Rain"), pair=tuple(PAIRS)
     )

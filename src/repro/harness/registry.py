@@ -19,17 +19,28 @@ shape, DESIGN.md §16):
     simulation state — that is what makes ``python -m repro.harness
     analyze --from <run-dir>`` re-renderable offline.
 
+Each class declares the ``-O KEY=VALUE`` options it reads
+(``Experiment.options``); :func:`prepare` rejects any other key and the
+class's ``prepare`` validates the values, both before anything
+simulates.
+
 Sweeps are declared, not hand-rolled: :class:`GridExperiment` takes a
 :class:`ParamGrid` over named axes and executes it point-by-point
-through one ``run_point`` hook, optionally giving each point its own
-fresh telemetry registry and span-shard subdirectory (the pattern the
-``scale`` knee-sweep established).
+through one ``run_point`` hook.
+
+:func:`observe` is the one observability wiring: it builds a run's
+registry, sampler, SLO monitor, shard store, console and profilers from
+:class:`ObsSpec` and writes the ``--emit`` artifacts on exit.  The CLI
+enters it once per run, and a sweep may enter it once per grid point
+(the ``scale`` knee-sweep does), so points never share a registry.
 
 Run artifacts (``save_run``/:func:`analyze_from`) live in a run
 directory::
 
-    <run-dir>/experiment.json   # name, scale knobs, options (format 1)
+    <run-dir>/experiment.json   # name, scale knobs, options, artifacts (format 1)
     <run-dir>/results.json      # the round-tripped ``run`` document
+    <run-dir>/<artifact>        # each --emit kind under its ARTIFACTS name
+    <run-dir>/point-<label>/    # one grid point's artifacts, same names
 
 ``analyze_from`` re-instantiates the registered class and re-renders
 without constructing a single :class:`~repro.sim.Environment` — the DES
@@ -44,9 +55,11 @@ import importlib
 import itertools
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
+import repro.obs as obs
 from repro.harness.format import format_table
 from repro.harness.runner import SCALE_PAPER, ExperimentScale
 
@@ -89,30 +102,136 @@ class UnknownExperiment(KeyError):
         return self.args[0]
 
 
+class OptionError(ValueError):
+    """A rejected ``-O`` option; the message names the key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"-O {key}: {message}")
+
+
 # --------------------------------------------------------------------------
 # Context & parameter grids
 # --------------------------------------------------------------------------
+
+
+#: ``--emit`` artifact kinds and the fixed file (or directory) each one
+#: writes inside a run directory or a ``point-<label>/`` directory.
+ARTIFACTS = {
+    "trace": "trace.json",
+    "metrics": "metrics.json",
+    "report": "report.html",
+    "series": "series.csv",
+    "prom": "metrics.prom",
+    "shards": "shards",
+    "heartbeat": "heartbeat.jsonl",
+    "flame": "flame.collapsed",
+    "speedscope": "speedscope.json",
+    "diff": "diff.json",
+}
+
+
+def parse_emit(text: str) -> FrozenSet[str]:
+    """``--emit KIND,KIND,...`` -> the set of :data:`ARTIFACTS` kinds."""
+    kinds = frozenset(kind.strip() for kind in text.split(",") if kind.strip())
+    unknown = sorted(kinds - ARTIFACTS.keys())
+    if unknown:
+        raise ValueError(
+            f"unknown artifact {', '.join(unknown)} (choose from {', '.join(ARTIFACTS)})"
+        )
+    return kinds
+
+
+def parse_option(text: str) -> Tuple[str, object]:
+    """``-O KEY=VALUE`` -> (key, value); VALUE is JSON when it parses."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise ValueError(f"expects KEY=VALUE, got {text!r}")
+    try:
+        return key, json.loads(value)
+    except json.JSONDecodeError:
+        return key, value
+
+
+@dataclass
+class ObsSpec:
+    """What a run observes and emits; the CLI builds it from its flags.
+
+    The CLI checks the combinations: ``emit`` needs an ``out_dir``,
+    ``flame``/``speedscope`` a stack-sampling ``profile`` rate and
+    ``diff`` a ``baseline``.
+    """
+
+    #: ``--emit`` kinds (keys of :data:`ARTIFACTS`).
+    emit: FrozenSet[str] = frozenset()
+    #: ``--slo`` spec; each registry binds its own monitor.
+    slo: Optional[str] = None
+    sample_interval: float = 1.0
+    span_buffer: int = 10_000
+    #: Live-console redraw interval in wall seconds (``--live``).
+    live: Optional[float] = None
+    #: Zone ledger on; a rate > 0 Hz also samples stacks (``--profile``).
+    profile: Optional[float] = None
+    analyze: bool = False
+    top_k: int = 10
+    #: ``(label, metrics document)`` the run is diffed against.
+    baseline: Optional[Tuple[str, dict]] = None
+    tolerances: Optional[Dict[str, float]] = None
+
+    @property
+    def active(self) -> bool:
+        """Whether any flag asks for a real registry."""
+        return bool(
+            self.emit or self.slo or self.live or self.analyze or self.baseline
+        ) or self.profile is not None
+
+
+def one_of(choices: Sequence[str]) -> Callable[[object], str]:
+    """A :meth:`ExperimentContext.parsed_option` parser admitting ``choices``."""
+
+    def parse(value) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"got {value!r}; choose from {', '.join(choices)}")
+        return value
+
+    return parse
 
 
 @dataclass
 class ExperimentContext:
     """Everything a phase may read: size knobs, options, injected registries.
 
-    ``options`` carries CLI/caller knobs (``system``, ``traffic``,
-    ``policies``, ...); experiments read them with :meth:`option` and
-    ignore keys they do not know.  ``telemetry`` overrides the installed
+    ``options`` carries the ``-O`` knobs the experiment class declares
+    (``system``, ``traffic``, ``policies``, ...); experiments read them
+    with :meth:`option`.  ``telemetry`` overrides the installed
     process-wide registry (perf-gate style injection); ``None`` keeps the
-    :func:`repro.obs.current` default.
+    :func:`repro.obs.current` default.  ``artifacts`` collects the paths
+    (relative to ``out_dir``) the run writes, for ``experiment.json``.
     """
 
     scale: ExperimentScale = SCALE_PAPER
     options: Dict[str, object] = field(default_factory=dict)
     telemetry: object = None
     out_dir: Optional[str] = None
+    obs: ObsSpec = field(default_factory=ObsSpec)
+    artifacts: List[str] = field(default_factory=list)
 
     def option(self, key: str, default=None):
         value = self.options.get(key)
         return default if value is None else value
+
+    def parsed_option(self, key: str, parse: Callable, default=None):
+        """``parse(option(key, default))``; a rejected value names the key."""
+        try:
+            return parse(self.option(key, default))
+        except (TypeError, ValueError) as e:
+            raise OptionError(key, str(e)) from None
+
+    def artifact(self, name: str) -> str:
+        """Path of artifact ``name`` under ``out_dir``, listed in the manifest."""
+        path = os.path.join(self.out_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        self.artifacts.append(name)
+        return path
 
 
 @dataclass(frozen=True)
@@ -168,6 +287,9 @@ class Experiment:
     name: str = ""
     #: Declared sweep axes (display + GridExperiment default), or None.
     grid: Optional[ParamGrid] = None
+    #: Declared ``-O`` options: key -> one-line help.  :func:`prepare`
+    #: rejects every other key.
+    options: Dict[str, str] = {}
 
     def prepare(self, ctx: ExperimentContext) -> None:
         """Pre-compute configuration.  Must not simulate."""
@@ -196,6 +318,18 @@ class Experiment:
         """One-line description pulled from the class docstring."""
         doc = (cls.__doc__ or "").strip()
         return doc.splitlines()[0] if doc else ""
+
+    @classmethod
+    def check_options(cls, options: Dict[str, object]) -> None:
+        """Raise :class:`OptionError` for a key the class does not declare."""
+        for key in options:
+            if key not in cls.options:
+                close = difflib.get_close_matches(key, list(cls.options), n=1)
+                hint = f"did you mean {close[0]!r}? " if close else ""
+                declared = ", ".join(cls.options) or "none"
+                raise OptionError(
+                    key, f"not an option of {cls.name}; {hint}(declared: {declared})"
+                )
 
 
 class GridExperiment(Experiment):
@@ -260,34 +394,155 @@ class GridExperiment(Experiment):
         )
 
 
-def point_telemetry(
-    ctx: ExperimentContext,
-    label: str,
-    sample_interval_s: float = 1.0,
-):
-    """A fresh per-point telemetry registry (the ``scale`` sweep pattern).
+@dataclass
+class Observed:
+    """The registry :func:`observe` installed, and the run's diff verdict."""
 
-    Grid points must not contaminate each other, so each gets its own
-    :class:`~repro.obs.Telemetry` with a sampler attached; when
-    ``ctx.options['stream_dir']`` is set, the point's spans shard into a
-    ``point-<label>/`` subdirectory and quantile sketches replace
-    histograms (bounded memory however long the sweep).  Returns
-    ``(telemetry, store)``; the caller closes a non-``None`` store.
+    telemetry: object
+    #: Set on exit when the ``baseline`` diff broke ``tolerances``.
+    failed: bool = False
+
+
+def report_tolerances(delta, tolerances: Dict[str, float]) -> bool:
+    """Print the tolerance verdict of a run diff; True when it passed."""
+    failures = obs.check_tolerances(delta, tolerances)
+    print("tolerance check FAILED:" if failures else "tolerance check passed")
+    for failure in failures:
+        print(f"  {failure}")
+    return not failures
+
+
+@contextmanager
+def observe(
+    ctx: ExperimentContext, name: str, point: Optional[str] = None
+) -> Iterator[Observed]:
+    """Wire one run's observability from ``ctx.obs``; tear it down on exit.
+
+    Builds the registry (zone ledger, sampler, SLO monitor, shard store,
+    live console, stack sampler) and installs it as the process-wide
+    default for the block.  On exit it writes each ``--emit`` artifact
+    under its :data:`ARTIFACTS` name and prints the run digests.  With no
+    observing flag the installed (null) registry is left alone.
+
+    ``point`` marks one grid point of a sweep: it always gets a fresh
+    registry with a sampler (points must not contaminate each other, and
+    the open-loop runner keeps its latency histogram there) and writes
+    under ``point-<point>/``, the same layout as a run directory.
     """
-    from repro.obs import Sampler, Telemetry
-    from repro.obs.stream import attach_store
-
-    tel = Telemetry()
-    tel.sampler = Sampler(interval_s=sample_interval_s)
+    spec = ctx.obs
+    if point is None and not spec.active:
+        yield Observed(obs.current())
+        return
+    title = name if point is None else f"{name} {point}"
+    prefix = "" if point is None else f"point-{point}/"
+    paths = {
+        kind: ctx.artifact(prefix + filename)
+        for kind, filename in ARTIFACTS.items()
+        if kind in spec.emit
+    }
+    tel = obs.Telemetry()
+    if spec.profile is not None:
+        # Hot paths re-read ``tel.perf`` per call, so attaching the zone
+        # ledger before any system is built is all the wiring they need.
+        tel.perf = obs.ZoneProfiler()
+    live = spec.live
+    if live is None and "heartbeat" in paths:
+        live = 1.0  # a heartbeat stream implies the console that writes it
+    if (
+        point is not None or spec.slo or live
+        or paths.keys() & {"report", "series", "prom", "shards"}
+    ):
+        tel.sampler = obs.Sampler(interval_s=spec.sample_interval)
+    if spec.slo is not None:
+        tel.slo = obs.parse_slo_spec(spec.slo).bind(tel)
     store = None
-    stream_dir = ctx.option("stream_dir")
-    if stream_dir is not None:
-        store = attach_store(
+    if "shards" in paths:
+        # Spans shard to disk and quantile sketches replace histograms;
+        # the default (non-streaming) path is untouched and byte-identical.
+        store = obs.attach_store(
             tel,
-            os.path.join(stream_dir, f"point-{label}"),
-            buffer_limit=int(ctx.option("span_buffer", 10_000)),
+            paths["shards"],
+            buffer_limit=spec.span_buffer,
+            violation=(
+                obs.slo_violation_predicate(tel.slo.targets)
+                if tel.slo is not None
+                else None
+            ),
         )
-    return tel, store
+    console = None
+    if live is not None:
+        console = tel.console = obs.LiveConsole(
+            interval_s=live, heartbeat_path=paths.get("heartbeat")
+        )
+    profiler = None
+    if spec.profile:
+        profiler = tel.profiler = obs.SamplingProfiler(hz=spec.profile, perf=tel.perf)
+        profiler.start()
+    previous = obs.current()
+    obs.install(tel)
+    observed = Observed(tel)
+    try:
+        yield observed
+        if profiler is not None:
+            profiler.stop()  # freeze the sample set before any exporter reads it
+        if console is not None:
+            console.close(tel)
+        if store is not None:
+            # Final flush: every completed request group lands in the
+            # shards, so the directory alone is a complete record.
+            store.close()
+            st = store.stats()
+            print(
+                f"[span stream: {st['spans_flushed']} spans in "
+                f"{st['shards']} shard(s) under {st['directory']}]"
+            )
+        delta = None
+        if spec.baseline is not None:
+            base_label, base_doc = spec.baseline
+            delta = obs.diff_runs(
+                base_doc, obs.metrics_dict(tel),
+                base_label=base_label, other_label=f"this run ({title})",
+            )
+        writers = {
+            "trace": lambda path: obs.write_chrome_trace(tel, path),
+            "metrics": lambda path: obs.write_metrics(tel, path),
+            "series": lambda path: obs.write_series_csv(tel, path),
+            "prom": lambda path: obs.write_prometheus(tel, path),
+            "diff": lambda path: _write_json(path, delta, sort_keys=True),
+            "report": lambda path: obs.write_html_report(
+                tel, path, title=f"repro run report: {title}", comparison=delta
+            ),
+            "flame": lambda path: profiler.write_collapsed(path),
+            "speedscope": lambda path: profiler.write_speedscope(
+                path, name=f"repro self-profile: {title}"
+            ),
+        }
+        for kind, write in writers.items():
+            if kind in paths:
+                write(paths[kind])
+                print(f"[{kind} written to {paths[kind]}]")
+        if spec.active:
+            print()
+            print(obs.summary_table(tel))
+        if tel.perf is not None:
+            print()
+            print(tel.perf.format_ledger(title="CPU ledger (wall-clock zones)"))
+            if profiler is not None:
+                print(f"[profiler: {profiler.summary()}]")
+        if spec.analyze:
+            print()
+            print(obs.render_analysis(
+                obs.analyze(tel, top_k=spec.top_k), top_k=spec.top_k
+            ))
+        if delta is not None:
+            print()
+            print(obs.render_diff(delta))
+            if spec.tolerances is not None:
+                observed.failed = not report_tolerances(delta, spec.tolerances)
+    finally:
+        if profiler is not None:
+            profiler.stop()  # idempotent; covers the exception path
+        obs.install(previous)
 
 
 # --------------------------------------------------------------------------
@@ -343,14 +598,15 @@ def get(name: str) -> type:
 
 
 def format_listing() -> str:
-    """The ``harness list`` table: name, phases, grid axes, description."""
+    """The ``harness list`` table: name, phases, grid, -O options, description."""
     registry = discover()
     rows = []
     for name, cls in registry.items():
         grid = cls.grid.describe() if cls.grid is not None else "-"
-        rows.append([name, cls.phases(), grid, cls.describe()])
+        options = ",".join(cls.options) or "-"
+        rows.append([name, cls.phases(), grid, options, cls.describe()])
     return format_table(
-        ["Experiment", "Phases", "Grid", "Description"],
+        ["Experiment", "Phases", "Grid", "Options", "Description"],
         rows,
         title=f"registered experiments ({len(registry)})",
     )
@@ -394,64 +650,79 @@ def roundtrip(results):
 # --------------------------------------------------------------------------
 
 
-def execute(name: str, ctx: Optional[ExperimentContext] = None):
-    """Run one registered experiment's prepare+run; return (exp, results).
+def prepare(name: str, ctx: ExperimentContext) -> Experiment:
+    """Resolve ``name``, reject undeclared ``-O`` keys, run ``prepare``.
 
-    ``results`` is already round-tripped; pass it straight to
-    ``exp.analyze(results, ctx)``.
+    Raises :class:`UnknownExperiment` or :class:`OptionError` before
+    anything simulates.
     """
     exp = get(name)()
-    if ctx is None:
-        ctx = ExperimentContext()
+    exp.check_options(ctx.options)
     exp.prepare(ctx)
+    return exp
+
+
+def run_prepared(exp: Experiment, ctx: ExperimentContext):
+    """Run a prepared experiment; return its round-tripped results.
+
+    Pass ``results`` straight to ``exp.analyze(results, ctx)``.  With
+    ``ctx.out_dir`` set the run directory is saved too.
+    """
     results = roundtrip(exp.run(ctx))
     if ctx.out_dir is not None:
         save_run(ctx.out_dir, exp.name, ctx, results)
-    return exp, results
+    return results
+
+
+def execute(name: str, ctx: Optional[ExperimentContext] = None):
+    """:func:`prepare` then :func:`run_prepared`; return (exp, results)."""
+    if ctx is None:
+        ctx = ExperimentContext()
+    exp = prepare(name, ctx)
+    return exp, run_prepared(exp, ctx)
 
 
 def run_main(
-    name: str,
-    scale: Optional[ExperimentScale] = None,
-    out_dir: Optional[str] = None,
-    **options,
+    name: str, scale: Optional[ExperimentScale] = None, **options
 ) -> str:
-    """The shared CLI driver every legacy ``main()`` delegates to.
+    """What every module's ``main()`` delegates to.
 
-    Prepares, runs, optionally persists the run directory, renders the
-    analysis and prints it.  Returns the report text (the historical
-    ``main()`` contract).
+    Prepares, runs, renders the analysis and prints it.  Returns the
+    report text (the historical ``main()`` contract).
     """
     ctx = ExperimentContext(
         scale=scale if scale is not None else SCALE_PAPER,
         options={k: v for k, v in options.items() if v is not None},
-        out_dir=out_dir,
     )
     exp, results = execute(name, ctx)
     text = exp.analyze(results, ctx)
     print(text)
-    if out_dir is not None:
-        print(f"[run artifacts written to {out_dir}]")
     return text
 
 
+def _write_json(path: str, doc, sort_keys: bool = False) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def save_run(out_dir: str, name: str, ctx: ExperimentContext, results) -> None:
-    """Persist one run's artifacts (``experiment.json`` + ``results.json``)."""
+    """Persist ``results.json`` and the ``experiment.json`` manifest.
+
+    The manifest lists every artifact of ``ctx.artifacts``: the
+    :func:`observe` outputs are recorded when the wiring is entered, so
+    the list is complete once the enclosing :func:`observe` exits.
+    """
     os.makedirs(out_dir, exist_ok=True)
     meta = {
         "format": RUN_FORMAT,
         "experiment": name,
         "scale": asdict(ctx.scale),
-        "options": to_jsonable(
-            {k: v for k, v in ctx.options.items() if not callable(v)}
-        ),
+        "options": to_jsonable(ctx.options),
+        "artifacts": sorted({"results.json", *ctx.artifacts}),
     }
-    with open(os.path.join(out_dir, "experiment.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "results.json"), "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "experiment.json"), meta, sort_keys=True)
+    _write_json(os.path.join(out_dir, "results.json"), results)
 
 
 def load_run(run_dir: str) -> Tuple[Dict[str, object], object]:
@@ -495,6 +766,7 @@ def analyze_from(run_dir: str, options: Optional[Dict[str, object]] = None) -> s
     """
     meta, results = load_run(run_dir)
     exp = get(str(meta["experiment"]))()
+    exp.check_options(options or {})
     scale_doc = meta.get("scale") or {}
     known = {f.name for f in fields(ExperimentScale)}
     scale = replace(
@@ -507,10 +779,14 @@ def analyze_from(run_dir: str, options: Optional[Dict[str, object]] = None) -> s
 
 
 __all__ = [
+    "ARTIFACTS",
     "DISCOVER_MODULES",
     "Experiment",
     "ExperimentContext",
     "GridExperiment",
+    "ObsSpec",
+    "Observed",
+    "OptionError",
     "ParamGrid",
     "RUN_FORMAT",
     "UnknownExperiment",
@@ -521,10 +797,16 @@ __all__ = [
     "get",
     "load_run",
     "names",
-    "point_telemetry",
+    "observe",
+    "one_of",
+    "parse_emit",
+    "parse_option",
+    "prepare",
     "register",
+    "report_tolerances",
     "roundtrip",
     "run_main",
+    "run_prepared",
     "save_run",
     "to_jsonable",
 ]

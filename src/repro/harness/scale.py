@@ -3,7 +3,7 @@
 The paper's figures drive fixed fig-sized request streams; this tool
 answers the capacity question they leave open: *how much offered load
 does a deployment sustain before goodput stops following it?*  It takes
-one ``--traffic`` scenario (see :mod:`repro.traffic`), sweeps the
+one ``-O traffic`` scenario (see :mod:`repro.traffic`), sweeps the
 offered rate across load multipliers, runs every point open-loop through
 :func:`~repro.harness.runner.run_open_loop_experiment`, and reports
 goodput, latency quantiles and SLO burn per point plus the detected
@@ -11,36 +11,31 @@ goodput, latency quantiles and SLO burn per point plus the detected
 buys at least :data:`KNEE_EFFICIENCY` of a completed one.
 
 Every point runs under its own fresh telemetry registry (points must not
-contaminate each other); with ``--stream-dir`` each point flushes its
-spans to its own ``point-<m>x/`` shard subdirectory, so arbitrarily long
-sweeps stay bounded-memory end to end.
+contaminate each other): :func:`repro.harness.registry.observe` wires
+each one and writes its ``--emit`` artifacts under ``point-<m>x/``, so
+with ``--emit shards`` arbitrarily long sweeps stay bounded-memory end
+to end.  With ``--out-dir`` the sweep document is ``results.json`` and
+the goodput-knee card is ``scale.html``.
 
 Run::
 
-    python -m repro.harness scale --traffic "poisson:rate=20,tenants=1000,churn=exp:60"
-    python -m repro.harness scale --loads 0.5,1,2 --scale-out knee.json --scale-report knee.html
+    python -m repro.harness scale -O traffic="poisson:rate=20,tenants=1000,churn=exp:60"
+    python -m repro.harness scale -O loads=0.5,1,2 --out-dir knee
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster import build_paper_supernode
-from repro.obs import (
-    LiveConsole,
-    Sampler,
-    Telemetry,
-    ZoneProfiler,
-    attach_store,
-    parse_slo_spec,
-    slo_violation_predicate,
-)
 from repro.traffic import TrafficGenerator, parse_traffic_spec
 from repro.harness import registry
 from repro.harness.format import format_table
-from repro.harness.runner import run_open_loop_experiment, system_factories
+from repro.harness.runner import (
+    SCALE_QUICK,
+    run_open_loop_experiment,
+    system_factories,
+)
 
 #: Default scenario: a churned thousand-tenant population over the
 #: cheap end of the catalog.  The supernode sustains ~30 requests/s of
@@ -53,11 +48,14 @@ DEFAULT_TRAFFIC = (
 #: Load multipliers swept over the scenario's offered rate.
 DEFAULT_LOADS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
+#: The sweep at ``--scale quick``.
+QUICK_LOADS = (0.5, 1.0, 2.0)
+
 #: Marginal goodput per marginal offered request below which the system
 #: is considered past its knee (adding load buys mostly queueing).
 KNEE_EFFICIENCY = 0.5
 
-#: ``--system`` choice -> factory name in :func:`system_factories`.
+#: ``-O system`` choice -> factory name in :func:`system_factories`.
 SYSTEMS = {
     "strings": "GMin-Strings",
     "design2": "GMin-Design2",
@@ -69,58 +67,21 @@ def run_point(
     factory,
     gen: TrafficGenerator,
     multiplier: float,
-    stream_dir: Optional[str] = None,
-    span_buffer: int = 10_000,
-    slo: Optional[str] = None,
-    live: Optional[float] = None,
-    sample_interval: float = 1.0,
-    fault_plan=None,
-    profile: Optional[float] = None,
-    prewarm: bool = True,
+    ctx: registry.ExperimentContext,
 ) -> Dict[str, object]:
     """One load point under its own fresh telemetry registry."""
     scaled = gen.scaled(multiplier)
     label = f"{multiplier:g}x"
-    tel = Telemetry()
-    tel.sampler = Sampler(interval_s=sample_interval)
-    if profile is not None:
-        # Per-point CPU ledger (ISSUE 9): each load point gets its own
-        # zone profiler so the sweep shows where wall time shifts as
-        # offered load climbs past the knee.
-        tel.perf = ZoneProfiler()
-    slo_monitor = parse_slo_spec(slo).bind(tel) if slo is not None else None
-    if slo_monitor is not None:
-        tel.slo = slo_monitor
-
-    store = None
-    if stream_dir is not None:
-        store = attach_store(
-            tel,
-            os.path.join(stream_dir, f"point-{label}"),
-            buffer_limit=span_buffer,
-            violation=(
-                slo_violation_predicate(slo_monitor.targets)
-                if slo_monitor is not None
-                else None
-            ),
+    with registry.observe(ctx, "scale", point=label) as observed:
+        tel = observed.telemetry
+        res = run_open_loop_experiment(
+            factory,
+            scaled,
+            build_paper_supernode,
+            label=label,
+            prewarm=True,
+            telemetry=tel,
         )
-    if live is not None:
-        tel.console = LiveConsole(interval_s=live)
-
-    res = run_open_loop_experiment(
-        factory,
-        scaled,
-        build_paper_supernode,
-        label=label,
-        prewarm=prewarm,
-        telemetry=tel,
-        fault_plan=fault_plan,
-    )
-
-    if live is not None:
-        tel.console.close(tel)
-    if store is not None:
-        store.close()
 
     point: Dict[str, object] = {
         "multiplier": multiplier,
@@ -140,12 +101,14 @@ def run_point(
         "sim_time_s": res.sim_time_s,
         "wall_time_s": res.wall_time_s,
     }
-    if slo_monitor is not None:
-        point["slo_violations"] = slo_monitor.total_violations
+    if tel.slo is not None:
+        point["slo_violations"] = tel.slo.total_violations
         point["slo_max_burn"] = max(
-            (row["max_burn_rate"] for row in slo_monitor.summary()), default=0.0
+            (row["max_burn_rate"] for row in tel.slo.summary()), default=0.0
         )
-    if profile is not None:
+    if tel.perf is not None:
+        # Per-point CPU ledger: where wall time shifts as offered load
+        # climbs past the knee.
         point["cpu_ledger"] = tel.perf.ledger_dict(top=8)
     if res.faults_summary is not None:
         point["faults"] = res.faults_summary
@@ -182,63 +145,21 @@ def find_knee(
     return knee
 
 
-def run_sweep(
-    traffic: str = DEFAULT_TRAFFIC,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    system: str = "strings",
-    seed: int = 42,
-    stream_dir: Optional[str] = None,
-    span_buffer: int = 10_000,
-    slo: Optional[str] = None,
-    live: Optional[float] = None,
-    sample_interval: float = 1.0,
-    fault_plan=None,
-    profile: Optional[float] = None,
-    prewarm: bool = True,
-    progress=None,
-) -> Dict[str, object]:
-    """Sweep the scenario across ``loads`` and detect the goodput knee."""
-    spec = parse_traffic_spec(traffic)
-    gen = TrafficGenerator(spec, seed=seed)
-    factory = system_factories()[SYSTEMS[system]]
-    points: List[Dict[str, object]] = []
-    for m in sorted(loads):
-        point = run_point(
-            factory,
-            gen,
-            m,
-            stream_dir=stream_dir,
-            span_buffer=span_buffer,
-            slo=slo,
-            live=live,
-            sample_interval=sample_interval,
-            fault_plan=fault_plan,
-            profile=profile,
-            prewarm=prewarm,
-        )
-        points.append(point)
-        if progress is not None:
-            progress(point)
-    knee = find_knee(points)
-    doc: Dict[str, object] = {
-        "tool": "scale",
-        "traffic": spec.canonical(),
-        "system": SYSTEMS[system],
-        "seed": gen.seed,
-        "loads": [float(m) for m in sorted(loads)],
-        "knee_multiplier": knee,
-        "knee_offered_rps": (
-            next(
-                float(p["offered_rps"])
-                for p in points
-                if float(p["multiplier"]) == knee
-            )
-            if knee is not None
-            else None
-        ),
-        "points": points,
-    }
-    return doc
+def parse_loads(value) -> Tuple[float, ...]:
+    """``-O loads``: a JSON list, one number or a CSV string of multipliers."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    try:
+        loads = tuple(sorted(float(m) for m in value))
+    except (TypeError, ValueError):
+        raise ValueError(f"multipliers must be numbers, got {value!r}") from None
+    if not loads:
+        raise ValueError("needs at least one multiplier")
+    if any(m <= 0 for m in loads):
+        raise ValueError(f"multipliers must be > 0, got {value!r}")
+    return loads
 
 
 # --------------------------------------------------------------------------
@@ -370,12 +291,29 @@ code {{ background: #f4f4f4; padding: 1px 4px; }}
 class Scale(registry.Experiment):
     """Scale — load-to-the-knee sweep of generated traffic (goodput knee)."""
 
-    #: The declared sweep axis (actual loads come from ``-O loads`` /
-    #: ``--loads``; per-point telemetry isolation happens in run_point).
+    #: The declared sweep axis (actual loads come from ``-O loads``).
     grid = registry.ParamGrid.of(load=DEFAULT_LOADS)
+    options = {
+        "traffic": "traffic spec (repro.traffic grammar)",
+        "loads": "load multipliers, e.g. [0.5,1,2]",
+        "system": "strings | design2 | rain",
+    }
+
+    def prepare(self, ctx: registry.ExperimentContext) -> None:
+        self.spec = ctx.parsed_option("traffic", parse_traffic_spec, DEFAULT_TRAFFIC)
+        self.loads = ctx.parsed_option(
+            "loads",
+            parse_loads,
+            QUICK_LOADS if ctx.scale == SCALE_QUICK else DEFAULT_LOADS,
+        )
+        self.system = ctx.parsed_option("system", registry.one_of(SYSTEMS), "strings")
 
     def run(self, ctx: registry.ExperimentContext):
-        def progress(point: Dict[str, object]) -> None:
+        gen = TrafficGenerator(self.spec, seed=ctx.scale.seed)
+        factory = system_factories()[SYSTEMS[self.system]]
+        points = []
+        for m in self.loads:
+            point = run_point(factory, gen, m, ctx)
             print(
                 f"  [{point['multiplier']:g}x] offered {point['offered']} "
                 f"goodput {point['goodput_rps']:.2f} rps "
@@ -383,21 +321,28 @@ class Scale(registry.Experiment):
                 f"aborted {point['aborted']} "
                 f"({point['wall_time_s']:.1f}s wall)"
             )
-
-        return run_sweep(
-            traffic=str(ctx.option("traffic", DEFAULT_TRAFFIC)),
-            loads=tuple(ctx.option("loads", DEFAULT_LOADS)),
-            system=str(ctx.option("system", "strings")),
-            seed=int(ctx.option("seed", 42)),
-            stream_dir=ctx.option("stream_dir"),
-            span_buffer=int(ctx.option("span_buffer", 10_000)),
-            slo=ctx.option("slo"),
-            live=ctx.option("live"),
-            sample_interval=float(ctx.option("sample_interval", 1.0)),
-            fault_plan=ctx.option("fault_plan"),
-            profile=ctx.option("profile"),
-            progress=progress if ctx.option("progress", True) else None,
-        )
+            points.append(point)
+        knee = find_knee(points)
+        doc = {
+            "tool": "scale",
+            "traffic": self.spec.canonical(),
+            "system": SYSTEMS[self.system],
+            "seed": gen.seed,
+            "loads": list(self.loads),
+            "knee_multiplier": knee,
+            "knee_offered_rps": next(
+                (
+                    float(p["offered_rps"])
+                    for p in points
+                    if float(p["multiplier"]) == knee
+                ),
+                None,
+            ),
+            "points": points,
+        }
+        if ctx.out_dir is not None:
+            write_scale_card(doc, ctx.artifact("scale.html"))
+        return doc
 
     def analyze(self, doc, ctx: registry.ExperimentContext) -> str:
         lines = ["", format_sweep(doc)]
@@ -418,62 +363,16 @@ class Scale(registry.Experiment):
         return "\n".join(lines)
 
 
-def main(
-    traffic: str = DEFAULT_TRAFFIC,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    system: str = "strings",
-    seed: int = 42,
-    stream_dir: Optional[str] = None,
-    span_buffer: int = 10_000,
-    slo: Optional[str] = None,
-    live: Optional[float] = None,
-    sample_interval: float = 1.0,
-    fault_plan=None,
-    profile: Optional[float] = None,
-    out_json: Optional[str] = None,
-    out_html: Optional[str] = None,
-    out_dir: Optional[str] = None,
-) -> Dict[str, object]:
-    """CLI driver: run the sweep, print the table, write artifacts."""
-    ctx = registry.ExperimentContext(options={
-        k: v for k, v in dict(
-            traffic=traffic,
-            loads=tuple(loads),
-            system=system,
-            seed=seed,
-            stream_dir=stream_dir,
-            span_buffer=span_buffer,
-            slo=slo,
-            live=live,
-            sample_interval=sample_interval,
-            fault_plan=fault_plan,
-            profile=profile,
-        ).items() if v is not None
-    }, out_dir=out_dir)
-    exp, doc = registry.execute("scale", ctx)
-    print(exp.analyze(doc, ctx))
-    if out_json is not None:
-        with open(out_json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"[scale sweep written to {out_json}]")
-    if out_html is not None:
-        write_scale_card(doc, out_html)
-        print(f"[scale report written to {out_html}]")
-    if out_dir is not None:
-        print(f"[run artifacts written to {out_dir}]")
-    return doc
-
-
 __all__ = [
     "DEFAULT_LOADS",
     "DEFAULT_TRAFFIC",
     "KNEE_EFFICIENCY",
+    "QUICK_LOADS",
     "SYSTEMS",
     "Scale",
     "find_knee",
     "format_sweep",
-    "main",
+    "parse_loads",
     "run_point",
-    "run_sweep",
     "write_scale_card",
 ]

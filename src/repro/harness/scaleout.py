@@ -36,7 +36,7 @@ from repro.harness.runner import (
 #: short transfer-heavy app, all arriving at node 0.
 WORKLOAD = ("DC", "HI", "MC")
 
-#: Systems selectable via ``python -m repro.harness scaleout --system ...``.
+#: Systems selectable via ``python -m repro.harness scaleout -O system=...``.
 SYSTEMS = {
     "strings": StringsSystem,
     "design2": Design2System,
@@ -99,6 +99,15 @@ def run(
 class Scaleout(registry.Experiment):
     """Scale-out — completion time and speedup over growing gPool sizes."""
 
+    options = {
+        "system": "strings | design2 | rain",
+        "max_nodes": "largest gPool size in dual-GPU nodes (default 4)",
+    }
+
+    def prepare(self, ctx: registry.ExperimentContext) -> None:
+        ctx.parsed_option("system", registry.one_of(SYSTEMS), "strings")
+        ctx.parsed_option("max_nodes", int, 4)
+
     def run(self, ctx: registry.ExperimentContext):
         return run(
             ctx.scale,
@@ -123,7 +132,3 @@ class Scaleout(registry.Experiment):
 
 def main(scale: ExperimentScale = SCALE_PAPER, system: str = "strings") -> str:
     return registry.run_main("scaleout", scale=scale, system=system)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

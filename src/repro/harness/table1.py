@@ -90,7 +90,3 @@ class Table1(registry.Experiment):
 
 def main() -> str:
     return registry.run_main("table1")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -6,8 +6,7 @@ whole stack:
 * the **instrument kernel** — counters, gauges, histograms, sim-time
   spans, the decision log, time-series sampling and tenant attribution —
   lives in the bottom-layer :mod:`repro.telemetry` package (DESIGN.md
-  §12) and is re-exported here (``repro.obs.instruments`` etc. remain as
-  compatibility shims);
+  §12) and is re-exported here;
 * :mod:`repro.obs.spans` — the request-span taxonomy and per-phase
   latency breakdown queries;
 * :mod:`repro.obs.slo` — per-workload SLO targets with windowed
@@ -71,19 +70,6 @@ from repro.telemetry.sketch import (
     SketchHistogram,
     merged_quantile,
 )
-from repro.obs.attribution import (
-    NULL_ATTRIBUTION,
-    AttributionTable,
-    NullAttributionTable,
-    TenantUsage,
-)
-from repro.obs.decisions import (
-    DecisionLog,
-    LogEvent,
-    NullDecisionLog,
-    PlacementDecision,
-    PolicySwitch,
-)
 from repro.obs.export import (
     metrics_dict,
     series_csv,
@@ -95,20 +81,31 @@ from repro.obs.export import (
     write_prometheus,
     write_series_csv,
 )
-from repro.obs.instruments import (
+from repro.obs.report import html_report, write_html_report
+from repro.obs.slo import SloMonitor, SloTarget, SloViolation, parse_slo_spec
+from repro.telemetry import (
+    NULL_ATTRIBUTION,
+    NULL_SERIES,
     NULL_TELEMETRY,
+    AttributionTable,
     Counter,
+    DecisionLog,
     Gauge,
     Histogram,
+    LogEvent,
+    NullAttributionTable,
+    NullDecisionLog,
     NullTelemetry,
+    PlacementDecision,
+    PolicySwitch,
+    Sampler,
     SamplingTelemetry,
+    Series,
     Span,
     Stopwatch,
     Telemetry,
+    TenantUsage,
 )
-from repro.obs.report import html_report, write_html_report
-from repro.obs.slo import SloMonitor, SloTarget, SloViolation, parse_slo_spec
-from repro.obs.timeseries import NULL_SERIES, Sampler, Series
 
 import repro.telemetry as _telemetry
 

@@ -24,7 +24,7 @@ Three tools that turn the raw telemetry of PRs 1-2 into answers:
   ``key=fraction`` grammar shared by ``--tolerance`` and
   ``benchmarks/perf_gate.py``.
 
-The module depends only on :mod:`repro.obs.instruments` /
+The module depends only on :mod:`repro.telemetry.instruments` /
 :mod:`repro.obs.spans` (never on the exporters), so the exporters can
 embed its output without an import cycle.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.instruments import Span, Telemetry
+from repro.telemetry.instruments import Span, Telemetry
 from repro.obs.spans import (
     CAT_BIND,
     CAT_COPY,
@@ -443,7 +443,7 @@ def diff_runs(
     """Structured delta between two exported metrics documents.
 
     Both inputs are :func:`repro.obs.export.metrics_dict` documents (the
-    ``--metrics-out`` JSON).  The diff is antisymmetric: every ``delta``
+    ``--emit metrics`` JSON).  The diff is antisymmetric: every ``delta``
     in ``diff_runs(a, b)`` is the negation of the one in
     ``diff_runs(b, a)``.
     """

@@ -33,7 +33,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, TextIO
 
-from repro.obs.instruments import Histogram
+from repro.telemetry.instruments import Histogram
 from repro.telemetry.sketch import merged_quantile
 
 

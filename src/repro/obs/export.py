@@ -26,7 +26,7 @@ import json
 from typing import Any, Dict, List, Tuple
 
 from repro.obs.analysis import analyze
-from repro.obs.instruments import Counter, Gauge, Histogram, Telemetry
+from repro.telemetry.instruments import Counter, Gauge, Histogram, Telemetry
 from repro.obs.spans import CAT_REQUEST, mean_phase_latency, phase_breakdown, request_spans
 
 _US = 1e6  # simulated seconds -> trace microseconds

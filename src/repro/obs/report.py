@@ -24,7 +24,7 @@ from __future__ import annotations
 import html
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.instruments import Telemetry
+from repro.telemetry.instruments import Telemetry
 
 #: Hard cap on runs rendered per page (each run adds a full section).
 MAX_RUNS = 12
@@ -479,8 +479,8 @@ def _performance_section(telemetry: Telemetry) -> List[str]:
         parts.append("<h3>Sampling flamegraph summary</h3>")
         parts.append(
             f'<p class="note">{_esc(profiler.summary())}. Full stacks in '
-            f"the collapsed/speedscope exports (--flame-out / "
-            f"--speedscope-out).</p>"
+            f"the collapsed/speedscope exports (--emit flame / "
+            f"--emit speedscope).</p>"
         )
         parts.append(
             "<table><thead><tr><th>zone tag</th><th>samples</th>"
@@ -555,7 +555,7 @@ def html_report(
     if not shown_runs:
         parts.append(
             '<p class="note">No sampled series or decisions recorded — '
-            "run the harness with --report (and optionally --slo) on a "
+            "run the harness with --emit report (and optionally --slo) on a "
             "stream experiment.</p>"
         )
 

@@ -57,7 +57,7 @@ from repro.obs.analysis import (
     _blame_sweep,
     _reconcile,
 )
-from repro.obs.instruments import Span
+from repro.telemetry.instruments import Span
 from repro.obs.spans import CAT_REQUEST, REQUEST_PHASES
 
 #: Pseudo-phase key for the slowest-by-total-latency retention heap.
@@ -508,7 +508,7 @@ def attach_store(
 ) -> SpanShardStore:
     """Wire a registry for streaming mode; returns the new shard store.
 
-    The canonical ``--stream-dir`` hookup, previously copy-pasted by the
+    The canonical ``--emit shards`` hookup, previously copy-pasted by the
     harness and every benchmark: spans shard to ``directory``, the
     sampler tick flushes the store, and quantile sketches replace exact
     histograms so instrument memory stays bounded.  If the registry
@@ -697,7 +697,7 @@ def profile_stream(telemetry) -> RunProfile:
 
 
 def profile_shard_dir(directory: str) -> RunProfile:
-    """Offline: profile a ``--stream-dir`` directly from its shard files
+    """Offline: profile a shard directory directly from its shard files
     (no registry needed — engine reconciliation reads as zero)."""
     prof = StreamProfiler()
     for spans, watermark, _t in iter_disk_batches(directory):

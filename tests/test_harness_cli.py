@@ -1,10 +1,15 @@
 """Smoke tests for the harness CLI and the cheap figure runners."""
 
+import json
+
 import pytest
 
-from repro.harness.__main__ import EXPERIMENTS, EXTENSIONS, main
-from repro.harness import fig1, fig2, table1
+from repro.harness.__main__ import EXPERIMENTS, main
+from repro.harness import fig1, fig2, registry, table1
 from repro.harness.runner import SCALE_QUICK
+
+#: A sub-second open-loop scenario for the scale sweep.
+TINY_TRAFFIC = "poisson:rate=3,tenants=20,churn=exp:10,duration=15,apps=GA"
 
 
 def test_cli_lists_every_paper_experiment():
@@ -12,7 +17,7 @@ def test_cli_lists_every_paper_experiment():
         "table1", "fig1", "fig2", "fig9", "fig10",
         "fig11", "fig12", "fig13", "fig14", "fig15",
     ]
-    assert "scaleout" in EXTENSIONS
+    assert "scaleout" in registry.names()
 
 
 def test_cli_rejects_unknown_experiment(capsys):
@@ -43,7 +48,7 @@ def test_fig2_quick_runs_and_prints(capsys):
 
 
 def test_cli_lists_chaos_extension():
-    assert "chaos" in EXTENSIONS
+    assert "chaos" in registry.names()
 
 
 def test_cli_rejects_bad_fault_spec(capsys):
@@ -55,8 +60,10 @@ def test_cli_rejects_bad_fault_spec(capsys):
 def test_cli_rejects_bad_link_flags(capsys):
     with pytest.raises(SystemExit):
         main(["fig1", "--link-gbps", "0"])
+    assert "--link-gbps" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["fig1", "--link-latency-us", "-1"])
+    assert "--link-latency-us" in capsys.readouterr().err
 
 
 def test_cli_link_flags_apply_and_reset(capsys):
@@ -67,6 +74,17 @@ def test_cli_link_flags_apply_and_reset(capsys):
     net = Network()
     assert net.bandwidth_gbps == 10.0
     assert net.latency_s == pytest.approx(120e-6)
+
+
+def test_cli_scale_link_flags_reset(capsys):
+    """The scale sweep runs down the same path, so its link override is
+    reset too (it used to leak into the rest of the process)."""
+    from repro.cluster import Network
+
+    assert main([
+        "scale", "-O", f"traffic={TINY_TRAFFIC}", "-O", "loads=1", "--link-gbps", "20",
+    ]) == 0
+    assert Network().bandwidth_gbps == 10.0
 
 
 def test_cli_runs_chaos_with_fault_spec(capsys):
@@ -90,7 +108,8 @@ def test_cli_runs_chaos_with_fault_spec(capsys):
 def test_cli_rejects_bad_top_k(capsys):
     with pytest.raises(SystemExit):
         main(["fig1", "--analyze", "--top-k", "0"])
-    assert "--top-k must be > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--top-k" in err and "must be > 0" in err
 
 
 def test_cli_rejects_bad_tolerance_spec(capsys):
@@ -118,8 +137,6 @@ def test_cli_diff_requires_both_runs(capsys, tmp_path):
 
 
 def test_cli_analyze_rejects_doc_without_analysis(capsys, tmp_path):
-    import json
-
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps({"counters": {}}))
     with pytest.raises(SystemExit):
@@ -128,11 +145,9 @@ def test_cli_analyze_rejects_doc_without_analysis(capsys, tmp_path):
 
 
 def test_cli_run_analyze_diff_round_trip(capsys, tmp_path):
-    """fig1 --metrics-out, then offline analyze + self-diff + tolerance."""
-    import json
-
-    metrics = tmp_path / "run.json"
-    assert main(["fig1", "--metrics-out", str(metrics), "--analyze"]) == 0
+    """fig1 --emit metrics, then offline analyze + self-diff + tolerance."""
+    assert main(["fig1", "--out-dir", str(tmp_path), "--emit", "metrics", "--analyze"]) == 0
+    metrics = tmp_path / "metrics.json"
     out = capsys.readouterr().out
     assert "critical-path blame" in out
     assert "scheduler overhead (unattributed)" in out
@@ -154,44 +169,45 @@ def test_cli_run_analyze_diff_round_trip(capsys, tmp_path):
 
 def test_cli_diff_against_flags_regression(capsys, tmp_path):
     """--diff-against with an impossible tolerance exits 1 on real drift."""
-    import json
-
-    metrics = tmp_path / "base.json"
     # fig2 (unlike the analytic fig1) drives real requests, so the
     # exported analysis has a non-zero latency total to doctor.
-    assert main(["fig2", "--scale", "quick", "--metrics-out", str(metrics)]) == 0
+    base_dir = tmp_path / "base"
+    assert main(["fig2", "--scale", "quick", "--out-dir", str(base_dir),
+                 "--emit", "metrics"]) == 0
+    metrics = base_dir / "metrics.json"
     capsys.readouterr()
     doc = json.loads(metrics.read_text())
     assert doc["analysis"]["total_s"] > 0
     # Doctor the baseline so the fresh (identical) run looks 50% faster.
     doc["analysis"]["total_s"] = doc["analysis"]["total_s"] * 2
     metrics.write_text(json.dumps(doc))
+    run_dir = tmp_path / "run"
     assert main([
-        "fig2", "--scale", "quick",
+        "fig2", "--scale", "quick", "--out-dir", str(run_dir), "--emit", "diff,report",
         "--diff-against", str(metrics), "--tolerance", "total_s=0.01",
     ]) == 1
     assert "tolerance check FAILED" in capsys.readouterr().out
+    delta = json.loads((run_dir / "diff.json").read_text())
+    assert delta["total_latency_s"]["delta"] != 0.0
+    assert "Run comparison" in (run_dir / "report.html").read_text()
 
 
 def test_cli_streaming_run_and_offline_analyze(capsys, tmp_path):
-    """fig2 --stream-dir: spans shard to disk, exporters read the union,
+    """fig2 --emit shards: spans shard to disk, exporters read the union,
     and the analyze tool profiles the shard dir offline (ISSUE 6)."""
     stream = tmp_path / "shards"
-    hb = tmp_path / "hb.jsonl"
-    metrics = tmp_path / "run.json"
+    hb = tmp_path / "heartbeat.jsonl"
+    metrics = tmp_path / "metrics.json"
     assert main([
-        "fig2", "--scale", "quick",
-        "--stream-dir", str(stream), "--span-buffer", "64",
-        "--live", "0.01", "--heartbeat", str(hb),
-        "--metrics-out", str(metrics), "--analyze",
+        "fig2", "--scale", "quick", "--out-dir", str(tmp_path),
+        "--emit", "shards,heartbeat,metrics", "--span-buffer", "64",
+        "--live", "0.01", "--analyze",
     ]) == 0
     out = capsys.readouterr().out
     assert "span stream:" in out
     assert "critical-path blame" in out
     shards = list(stream.glob("spans-*.jsonl"))
     assert shards, "no shard files written"
-
-    import json
 
     records = [json.loads(line) for line in hb.read_text().splitlines()]
     assert records and all("completed" in r for r in records)
@@ -205,8 +221,18 @@ def test_cli_streaming_run_and_offline_analyze(capsys, tmp_path):
 
 def test_cli_streaming_flag_validation(capsys, tmp_path):
     with pytest.raises(SystemExit):
-        main(["fig1", "--span-buffer", "0", "--stream-dir", str(tmp_path / "s")])
+        main(["fig1", "--span-buffer", "0", "--out-dir", str(tmp_path), "--emit", "shards"])
     assert "--span-buffer" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["fig1", "--stream-dir", str(tmp_path)])  # only 'analyze' reads shards
+    assert "--stream-dir" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["fig1", "--emit", "shards"])
+    assert "--emit needs --out-dir" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["fig1", "--out-dir", str(tmp_path), "--emit", "shards,trcae"])
+    err = capsys.readouterr().err
+    assert "--emit" in err and "trcae" in err
     with pytest.raises(SystemExit):
         main(["fig1", "--live", "0"])
     assert "--live" in capsys.readouterr().err
@@ -219,92 +245,106 @@ def test_cli_streaming_flag_validation(capsys, tmp_path):
 
 
 def test_cli_lists_scale_extension():
-    assert "scale" in EXTENSIONS
+    assert "scale" in registry.names()
 
 
 def test_cli_rejects_bad_traffic_spec(capsys):
     with pytest.raises(SystemExit):
-        main(["scale", "--traffic", "weibull:rate=5"])
+        main(["scale", "-O", "traffic=weibull:rate=5"])
     err = capsys.readouterr().err
-    assert "--traffic" in err and "unknown arrival process" in err
+    assert "-O traffic" in err and "unknown arrival process" in err
     with pytest.raises(SystemExit):
-        main(["scale", "--traffic", "poisson:rate=0"])
+        main(["scale", "-O", "traffic=poisson:rate=0"])
     assert "must be > 0" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_loads(capsys):
     with pytest.raises(SystemExit):
-        main(["scale", "--loads", "0.5,fast"])
-    assert "--loads" in capsys.readouterr().err
+        main(["scale", "-O", "loads=0.5,fast"])
+    assert "-O loads" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main(["scale", "--loads", "0"])
+        main(["scale", "-O", "loads=0"])
     assert "must be > 0" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main(["scale", "--loads", ","])
+        main(["scale", "-O", "loads=,"])
     assert "at least one" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["scale", "-O", "system=quantum"])
+    assert "-O system" in capsys.readouterr().err
 
 
 def test_cli_scale_flags_require_scale_experiment(capsys):
     with pytest.raises(SystemExit):
-        main(["fig1", "--traffic", "poisson:rate=5"])
-    assert "only applies to the 'scale' extension" in capsys.readouterr().err
+        main(["fig1", "-O", "traffic=poisson:rate=5"])
+    err = capsys.readouterr().err
+    assert "-O traffic" in err and "not an option of fig1" in err
     with pytest.raises(SystemExit):
-        main(["fig1", "--loads", "1,2"])
-    assert "only applies" in capsys.readouterr().err
+        main(["scale", "-O", "lods=1,2"])
+    err = capsys.readouterr().err
+    assert "-O lods" in err and "did you mean 'loads'" in err
+    with pytest.raises(SystemExit):  # the per-experiment flags are gone
+        main(["scale", "--traffic", "poisson:rate=5"])
+    assert "--traffic" in capsys.readouterr().err
 
 
 def test_cli_scale_sweep_runs_and_writes_artifacts(capsys, tmp_path):
-    import json as _json
-
-    out_json = tmp_path / "sweep.json"
-    out_html = tmp_path / "sweep.html"
     rc = main([
-        "scale",
-        "--traffic", "poisson:rate=3,tenants=20,churn=exp:10,duration=15,apps=GA",
-        "--loads", "0.5,1",
-        "--scale-out", str(out_json),
-        "--scale-report", str(out_html),
+        "run", "scale", "--scale", "quick",
+        "-O", f"traffic={TINY_TRAFFIC}", "-O", "loads=[1]",
+        "--out-dir", str(tmp_path), "--emit", "heartbeat,report",
     ])
     assert rc == 0
     out = capsys.readouterr().out
     assert "Scale sweep" in out and "Goodput rps" in out
-    doc = _json.loads(out_json.read_text())
+    doc = json.loads((tmp_path / "results.json").read_text())
     assert doc["tool"] == "scale"
-    assert [p["multiplier"] for p in doc["points"]] == [0.5, 1.0]
+    # -O reaches the sweep: one point, under the given traffic.
+    assert doc["traffic"].startswith("poisson:rate=3,tenants=20,")
+    assert [p["multiplier"] for p in doc["points"]] == [1.0]
     for p in doc["points"]:
         assert p["offered"] == p["completed"] + p["aborted"] + p["failed"]
         assert "marginal_efficiency" in p
     assert "knee_multiplier" in doc
-    html = out_html.read_text()
+    html = (tmp_path / "scale.html").read_text()
     assert "<svg" in html and "goodput" in html
+    # Each load point gets a run-directory layout of its own.
+    point = tmp_path / "point-1x"
+    assert (point / "heartbeat.jsonl").stat().st_size > 0
+    assert "<svg" in (point / "report.html").read_text()
+    # The manifest lists every file the run wrote, and nothing else.
+    listed = json.loads((tmp_path / "experiment.json").read_text())["artifacts"]
+    assert "point-1x/report.html" in listed and "scale.html" in listed
+    for rel in listed:
+        assert (tmp_path / rel).exists(), rel
+    written = {
+        str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()
+    } - {"experiment.json"}
+    assert written == set(listed)
 
 
 # -- wall-clock self-profiling (ISSUE 9) ------------------------------------
 
 
-def test_cli_profile_flag_validation(capsys):
+def test_cli_profile_flag_validation(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["fig1", "--profile", "-5"])
     assert "--profile" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main(["fig1", "--flame-out", "x.txt"])
+        main(["fig1", "--out-dir", str(tmp_path), "--emit", "flame"])
     assert "requires --profile" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main(["fig1", "--profile", "0", "--speedscope-out", "x.json"])
+        main(["fig1", "--profile", "0", "--out-dir", str(tmp_path), "--emit", "speedscope"])
     assert "requires --profile" in capsys.readouterr().err
 
 
 def test_cli_profile_round_trip_writes_artifacts(capsys, tmp_path):
-    import json as _json
-
-    flame = tmp_path / "flame.txt"
-    speedscope = tmp_path / "profile.json"
     rc = main([
         "fig2", "--scale", "quick", "--profile", "200",
-        "--flame-out", str(flame),
-        "--speedscope-out", str(speedscope),
+        "--out-dir", str(tmp_path), "--emit", "flame,speedscope",
     ])
     assert rc == 0
+    flame = tmp_path / "flame.collapsed"
+    speedscope = tmp_path / "speedscope.json"
     out = capsys.readouterr().out
     assert "CPU ledger (wall-clock zones)" in out
     assert "sim.kernel" in out
@@ -312,7 +352,7 @@ def test_cli_profile_round_trip_writes_artifacts(capsys, tmp_path):
     for line in flame.read_text().splitlines():
         head, count = line.rsplit(" ", 1)
         assert int(count) >= 1 and ";" in head
-    doc = _json.loads(speedscope.read_text())
+    doc = json.loads(speedscope.read_text())
     assert doc["$schema"] == "https://www.speedscope.app/file-format-schema.json"
     prof = doc["profiles"][0]
     assert prof["type"] == "sampled"
@@ -331,26 +371,21 @@ def test_cli_profile_zones_only_skips_sampler(capsys):
 
 
 def test_cli_profile_rejected_for_scale_flame_outputs(capsys, tmp_path):
+    with pytest.raises(SystemExit):  # the per-artifact path flags are gone
+        main(["scale", "--profile", "--flame-out", str(tmp_path / "f.txt")])
+    assert "--flame-out" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main([
-            "scale", "--profile", "--flame-out", str(tmp_path / "f.txt"),
-        ])
-    assert "do not apply to the 'scale'" in capsys.readouterr().err
+        main(["scale", "--profile", "0", "--out-dir", str(tmp_path), "--emit", "flame"])
+    assert "requires --profile" in capsys.readouterr().err
 
 
 def test_cli_scale_profile_records_per_point_ledgers(capsys, tmp_path):
-    import json as _json
-
-    out_json = tmp_path / "sweep.json"
     rc = main([
-        "scale",
-        "--traffic", "poisson:rate=3,tenants=20,churn=exp:10,duration=15,apps=GA",
-        "--loads", "1",
-        "--profile", "0",
-        "--scale-out", str(out_json),
+        "scale", "-O", f"traffic={TINY_TRAFFIC}", "-O", "loads=1", "--profile", "0",
+        "--out-dir", str(tmp_path),
     ])
     assert rc == 0
-    doc = _json.loads(out_json.read_text())
+    doc = json.loads((tmp_path / "results.json").read_text())
     for p in doc["points"]:
         ledger = p["cpu_ledger"]
         assert ledger["total_self_s"] > 0
@@ -365,23 +400,24 @@ def test_cli_list_prints_registry(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "registered experiments" in out
-    for name in EXPERIMENTS + EXTENSIONS + ["pairsweep"]:
+    for name in EXPERIMENTS + ["scaleout", "ablations", "chaos", "scale", "pairsweep"]:
         assert name in out
-    # Phase and grid columns are populated.
+    # Phase, grid and declared-option columns are populated.
     assert "run/analyze" in out
     assert "policy[" in out
+    assert "traffic,loads,system" in out
 
 
 def test_cli_list_takes_no_target(capsys):
     with pytest.raises(SystemExit):
         main(["list", "fig1"])
-    assert "takes no experiment name" in capsys.readouterr().err
+    assert "unrecognized arguments: fig1" in capsys.readouterr().err
 
 
 def test_cli_run_requires_target(capsys):
     with pytest.raises(SystemExit):
         main(["run"])
-    assert "needs an experiment name" in capsys.readouterr().err
+    assert "required: NAME" in capsys.readouterr().err
 
 
 def test_cli_run_unknown_name_suggests_near_misses(capsys):
@@ -394,7 +430,7 @@ def test_cli_run_unknown_name_suggests_near_misses(capsys):
 def test_cli_stray_target_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["fig1", "fig2"])
-    assert "only 'run' takes an experiment name" in capsys.readouterr().err
+    assert "unrecognized arguments: fig2" in capsys.readouterr().err
 
 
 def test_cli_run_spelling_matches_legacy(capsys):
@@ -429,7 +465,8 @@ def test_cli_opt_restricts_experiment(capsys):
 def test_cli_opt_requires_key_value(capsys):
     with pytest.raises(SystemExit):
         main(["fig1", "-O", "nokey"])
-    assert "--opt expects KEY=VALUE" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--opt" in err and "expects KEY=VALUE" in err
 
 
 def test_cli_out_dir_then_analyze_from_round_trip(capsys, tmp_path):
@@ -438,7 +475,8 @@ def test_cli_out_dir_then_analyze_from_round_trip(capsys, tmp_path):
                  "--out-dir", str(run_dir)]) == 0
     live = capsys.readouterr().out
     assert f"[run artifacts written to {run_dir}]" in live
-    assert (run_dir / "experiment.json").exists()
+    meta = json.loads((run_dir / "experiment.json").read_text())
+    assert meta["artifacts"] == ["results.json"]
     assert (run_dir / "results.json").exists()
 
     assert main(["analyze", "--from", str(run_dir)]) == 0
@@ -460,13 +498,21 @@ def test_cli_analyze_from_rejects_non_run_dir(capsys, tmp_path):
 def test_cli_from_only_applies_to_analyze(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["fig1", "--from", str(tmp_path)])
-    assert "--from only applies" in capsys.readouterr().err
+    assert "--from" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # --diff-out belongs to 'diff' alone
+        main(["fig1", "--diff-out", str(tmp_path / "d.json")])
+    assert "--diff-out" in capsys.readouterr().err
 
 
 def test_cli_out_dir_rejected_for_tools_and_all(capsys, tmp_path):
     with pytest.raises(SystemExit):
-        main(["analyze", "--out-dir", str(tmp_path / "d")])
-    assert "--out-dir needs a single experiment run" in capsys.readouterr().err
+        main(["analyze", "--from", str(tmp_path), "--out-dir", str(tmp_path / "d")])
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["all", "--out-dir", str(tmp_path / "d")])
-    assert "--out-dir" in capsys.readouterr().err
+    assert "--out-dir needs a single experiment run" in capsys.readouterr().err
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit):
+        main(["fig1", "--out-dir", str(blocker / "sub")])
+    assert "--out-dir: cannot create" in capsys.readouterr().err

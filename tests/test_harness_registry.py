@@ -69,6 +69,33 @@ def test_alias_resolves_to_canonical_experiment():
     assert registry.get("ablate") is registry.get("ablations")
 
 
+def test_prepare_rejects_undeclared_options_with_a_hint():
+    ctx = registry.ExperimentContext(options={"polices": ["GRR-Strings"]})
+    with pytest.raises(registry.OptionError, match="-O polices: .*did you mean 'policies'"):
+        registry.prepare("fig9", ctx)
+    ctx = registry.ExperimentContext(options={"loads": [0]})
+    with pytest.raises(registry.OptionError, match="-O loads: multipliers must be > 0"):
+        registry.prepare("scale", ctx)
+
+
+def test_observe_keeps_null_registry_unless_asked_but_points_always_observe(tmp_path):
+    ctx = registry.ExperimentContext(out_dir=str(tmp_path))
+    with registry.observe(ctx, "t") as observed:
+        assert observed.telemetry is obs.current()
+        assert not observed.telemetry.enabled
+    with registry.observe(ctx, "t", point="1x") as observed:
+        tel = observed.telemetry
+        assert obs.current() is tel and tel.enabled and tel.sampler is not None
+    assert not obs.current().enabled  # the previous registry is restored
+    assert ctx.artifacts == [] and list(tmp_path.iterdir()) == []
+
+    ctx.obs = registry.ObsSpec(emit=frozenset({"metrics", "heartbeat"}))
+    with registry.observe(ctx, "t", point="2x"):
+        pass
+    assert sorted(ctx.artifacts) == ["point-2x/heartbeat.jsonl", "point-2x/metrics.json"]
+    assert all((tmp_path / rel).exists() for rel in ctx.artifacts)
+
+
 # -- ParamGrid ---------------------------------------------------------------
 
 

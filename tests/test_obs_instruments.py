@@ -14,7 +14,7 @@ from repro.obs import (
     metrics_dict,
     to_chrome_trace,
 )
-from repro.obs.instruments import format_series_name
+from repro.telemetry import format_series_name
 from repro.sim import Environment
 
 

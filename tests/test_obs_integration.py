@@ -160,8 +160,8 @@ def test_cli_trace_and_metrics_flags(tmp_path, capsys):
 
     trace = tmp_path / "trace.json"
     metrics = tmp_path / "metrics.json"
-    assert main(["fig2", "--scale", "quick",
-                 "--trace", str(trace), "--metrics-out", str(metrics)]) == 0
+    assert main(["fig2", "--scale", "quick", "--out-dir", str(tmp_path),
+                 "--emit", "trace,metrics"]) == 0
     out = capsys.readouterr().out
     assert "observability summary" in out
     # The flags reset the default registry on exit.

@@ -1,8 +1,8 @@
 """Harness observability outputs end-to-end (ISSUE 2).
 
-One quick fig9 run with every output flag produces the HTML report,
+One quick fig9 run emitting every output produces the HTML report,
 series CSV and Prometheus exposition; the artifacts are then examined
-per-test.  A second run checks the --metrics-out-alone summary path.
+per-test.  A second run checks the metrics-alone summary path.
 """
 
 import csv
@@ -23,11 +23,8 @@ def artifacts(tmp_path_factory):
         "metrics": out / "metrics.json",
     }
     rc = main([
-        "fig9", "--scale", "quick",
-        "--report", str(paths["report"]),
-        "--series-out", str(paths["series"]),
-        "--prom-out", str(paths["prom"]),
-        "--metrics-out", str(paths["metrics"]),
+        "fig9", "--scale", "quick", "--out-dir", str(out),
+        "--emit", "report,series,prom,metrics",
         "--slo", "*:60:0.99,window=20",
         "--sample-interval", "2.0",
     ])
@@ -138,9 +135,10 @@ class TestMetricsJson:
 
 class TestMetricsOutAlone:
     def test_summary_has_percentiles_without_trace_flag(self, tmp_path, capsys):
-        """Satellite: --metrics-out alone still yields span-derived p50/p99."""
+        """Satellite: --emit metrics alone still yields span-derived p50/p99."""
         path = tmp_path / "metrics.json"
-        assert main(["fig9", "--scale", "quick", "--metrics-out", str(path)]) == 0
+        assert main(["fig9", "--scale", "quick", "--out-dir", str(tmp_path),
+                     "--emit", "metrics"]) == 0
         out = capsys.readouterr().out
         assert "request completion:" in out
         assert "p50" in out and "p99" in out
@@ -151,7 +149,7 @@ class TestMetricsOutAlone:
 class TestCliValidation:
     def test_rejects_non_positive_sample_interval(self, capsys):
         with pytest.raises(SystemExit):
-            main(["fig1", "--report", "/tmp/r.html", "--sample-interval", "0"])
+            main(["fig1", "--sample-interval", "0"])
         assert "--sample-interval" in capsys.readouterr().err
 
     def test_rejects_malformed_slo_spec(self, capsys):
@@ -164,7 +162,9 @@ class TestCliValidation:
             main(["fig1", "--slo", "MC:1.0,window=0"])
         assert "window" in capsys.readouterr().err
 
-    def test_rejects_unwritable_output_path(self, capsys):
+    def test_rejects_unwritable_output_path(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
         with pytest.raises(SystemExit):
-            main(["fig1", "--report", "/nonexistent-dir/r.html"])
-        assert "cannot write" in capsys.readouterr().err
+            main(["fig1", "--out-dir", str(blocker / "run"), "--emit", "report"])
+        assert "--out-dir: cannot create" in capsys.readouterr().err

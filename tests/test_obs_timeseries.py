@@ -4,7 +4,7 @@ import pytest
 
 import repro.obs as obs
 from repro.obs import NULL_TELEMETRY, Sampler, Series, Telemetry
-from repro.obs.timeseries import NULL_SERIES
+from repro.telemetry import NULL_SERIES
 
 
 class TestSeriesRingBuffer:
