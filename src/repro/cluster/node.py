@@ -39,6 +39,9 @@ class Node:
         list order).
     hostname:
         Label; also used as the node's "IP" in the gMap.
+    trace:
+        Record busy intervals on every device (see
+        :class:`~repro.simgpu.GpuDevice`); only Fig. 2 reads them.
     """
 
     def __init__(
@@ -46,7 +49,7 @@ class Node:
         env: Environment,
         specs: Sequence[DeviceSpec],
         hostname: Optional[str] = None,
-        trace: bool = True,
+        trace: bool = False,
     ) -> None:
         self.env = env
         self.node_id = next(_node_seq)
@@ -70,7 +73,7 @@ class Node:
 
 
 def build_small_server(
-    env: Environment, trace: bool = True
+    env: Environment, trace: bool = False
 ) -> Tuple[List[Node], Network]:
     """The paper's small-scale server: one node, Quadro 2000 + Tesla C2050."""
     node = Node(env, NODE_A_DEVICES, hostname="nodeA", trace=trace)
@@ -78,7 +81,7 @@ def build_small_server(
 
 
 def build_single_gpu_server(
-    env: Environment, trace: bool = True
+    env: Environment, trace: bool = False
 ) -> Tuple[List[Node], Network]:
     """A one-GPU node (Tesla C2050): the paper's GPU-sharing/fairness rig,
     where application pairs are forced onto the same device."""
@@ -89,7 +92,7 @@ def build_single_gpu_server(
 
 
 def build_paper_supernode(
-    env: Environment, trace: bool = True
+    env: Environment, trace: bool = False
 ) -> Tuple[List[Node], Network]:
     """The paper's emulated 4-GPU server: NodeA + NodeB over dedicated GigE."""
     node_a = Node(env, NODE_A_DEVICES, hostname="nodeA", trace=trace)

@@ -28,8 +28,11 @@ class FaultInjector:
         self.fired = 0
 
     def start(self) -> None:
-        """Spawn the injector clock process (no-op for an empty plan)."""
-        events = self.plan.events_for(self.recovery.system.pool.gids())
+        """Check the plan's targets against the pool, then spawn the
+        injector clock process (no-op for an empty plan)."""
+        pool = self.recovery.system.pool
+        self.plan.check_targets(pool.gids(), [node.hostname for node in pool.nodes])
+        events = self.plan.events_for(pool.gids())
         if events:
             self.env.process(self._run(events), name="fault-injector")
 

@@ -174,6 +174,28 @@ class FaultPlan:
 
     # -- materialization ----------------------------------------------------
 
+    def check_targets(self, gids: Sequence[int], hosts: Sequence[str]) -> None:
+        """Raise :class:`ValueError` for a target the pool does not have.
+
+        Covers every explicit ``gid``, the random processes' ``gids=`` and
+        every partition ``host``: unchecked, a bad GID fails mid-run with a
+        ``KeyError`` and a bad host partitions nothing.
+        """
+        targets = [e.gid for e in self.events if e.gid is not None]
+        targets += [gid for spec in self._random_specs for gid in spec.gids or ()]
+        for gid in targets:
+            if gid not in gids:
+                raise ValueError(
+                    f"fault plan targets gid {gid}, but the pool has gids "
+                    f"{', '.join(map(str, gids))}"
+                )
+        for host in (e.host for e in self.events if e.host is not None):
+            if host not in hosts:
+                raise ValueError(
+                    f"fault plan targets host {host!r}, but the pool has hosts "
+                    f"{', '.join(hosts)}"
+                )
+
     def events_for(self, pool_gids: Sequence[int]) -> List[FaultEvent]:
         """The full schedule (explicit + expanded random), time-ordered.
 

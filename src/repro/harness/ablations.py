@@ -12,34 +12,41 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.sim import Environment
 from repro.cluster import build_single_gpu_server, build_small_server
 from repro.core import Design2System, RainSystem, StringsSystem
 from repro.core.arbiter import install_arbiter
 from repro.core.config import SchedulerConfig
 from repro.core.policies import GMin, LAS, MBF, TFS
-from repro.apps import app_by_short, run_request
+from repro.apps import app_by_short
 from repro.metrics import jains_fairness
+from repro.workloads import Request, RequestStream
 from repro.harness import registry
 from repro.harness.runner import (
     ExperimentScale,
     SCALE_PAPER,
     closed_loop_shared_run,
+    run_stream_experiment,
     solo_completion_time,
 )
 
 
-def _makespan(make_system, shorts, testbed=build_small_server) -> float:
-    env = Environment()
-    nodes, net = testbed(env)
-    system = make_system(env, nodes, net)
-    procs = []
-    for i, short in enumerate(shorts):
-        spec = app_by_short(short)
-        sess = system.session(spec.short, nodes[0], tenant_id=f"t{i}")
-        procs.append(env.process(run_request(env, sess, spec)))
-    env.run(until=env.all_of(procs))
-    return max(p.value.finish_s for p in procs)
+def _batch(make_system, shorts, testbed=build_small_server):
+    """One request per app short (tenants t0, t1, ...), all arriving at
+    t=0 on node 0; returns the run's per-request results."""
+    stream = RequestStream(
+        [Request(app_by_short(short), 0.0, tenant_id=f"t{i}") for i, short in enumerate(shorts)]
+    )
+    return run_stream_experiment(make_system, [stream], testbed, label="ablation").results
+
+
+def _makespan(make_system, shorts) -> float:
+    return max(r.finish_s for r in _batch(make_system, shorts))
+
+
+def _ga_next_to_dc(make_system) -> float:
+    """The short tenant's (GA) completion time next to DC on one GPU."""
+    results = _batch(make_system, ["DC", "GA"], build_single_gpu_server)
+    return next(r.completion_s for r in results if r.app == "GA")
 
 
 def ablate_context_packing() -> Dict[str, float]:
@@ -71,19 +78,14 @@ def ablate_mot() -> Dict[str, float]:
 
 def ablate_sst() -> Dict[str, float]:
     """Stream-narrowed vs whole-context sync: the short tenant's latency."""
-    out = {}
-    for label, enabled in (("SST on", True), ("SST off", False)):
-        env = Environment()
-        nodes, net = build_single_gpu_server(env)
-        system = StringsSystem(env, nodes, net, balancing=GMin(), sst_enabled=enabled)
-        procs = {}
-        for i, short in enumerate(["DC", "GA"]):
-            spec = app_by_short(short)
-            sess = system.session(spec.short, nodes[0], tenant_id=f"t{i}")
-            procs[short] = env.process(run_request(env, sess, spec))
-        env.run(until=env.all_of(list(procs.values())))
-        out[label] = procs["GA"].value.completion_s
-    return out
+    return {
+        label: _ga_next_to_dc(
+            lambda e, n, w, on=enabled: StringsSystem(
+                e, n, w, balancing=GMin(), sst_enabled=on
+            )
+        )
+        for label, enabled in (("SST on", True), ("SST off", False))
+    }
 
 
 def ablate_backend_designs() -> Dict[str, object]:
@@ -96,22 +98,14 @@ def ablate_backend_designs() -> Dict[str, object]:
     short tenant's completion time is the penalty's measure, summarised
     as ``hol_blocking_penalty_x`` (Design II / Design III).
     """
-    out: Dict[str, object] = {}
-    for label, cls in (
-        ("Design I (Rain)", RainSystem),
-        ("Design II (shared master)", Design2System),
-        ("Design III (Strings)", StringsSystem),
-    ):
-        env = Environment()
-        nodes, net = build_single_gpu_server(env)
-        system = cls(env, nodes, net, balancing=GMin())
-        procs = {}
-        for i, short in enumerate(["DC", "GA"]):
-            spec = app_by_short(short)
-            sess = system.session(spec.short, nodes[0], tenant_id=f"t{i}")
-            procs[short] = env.process(run_request(env, sess, spec))
-        env.run(until=env.all_of(list(procs.values())))
-        out[label] = procs["GA"].value.completion_s
+    out: Dict[str, object] = {
+        label: _ga_next_to_dc(lambda e, n, w, c=cls: c(e, n, w, balancing=GMin()))
+        for label, cls in (
+            ("Design I (Rain)", RainSystem),
+            ("Design II (shared master)", Design2System),
+            ("Design III (Strings)", StringsSystem),
+        )
+    }
     out["hol_blocking_penalty_x"] = (
         out["Design II (shared master)"] / out["Design III (Strings)"]
     )
@@ -167,18 +161,19 @@ def ablate_las_k(window_s: float = 60.0) -> Dict[str, Dict[str, float]]:
 
 def ablate_arbiter_cold_start() -> Dict[str, object]:
     """Dynamic policy switching: profiles needed before MBF takes over."""
-    env = Environment()
-    nodes, net = build_small_server(env)
-    system = StringsSystem(env, nodes, net, balancing=GMin())
-    arbiter = install_arbiter(
-        system, GMin(), MBF(system.sft), min_profiles=3, min_distinct_apps=2
-    )
-    procs = []
-    for i, short in enumerate(["BS", "GA", "BS", "GA", "BS", "GA"]):
-        spec = app_by_short(short)
-        sess = system.session(spec.short, nodes[0], tenant_id=f"t{i}")
-        procs.append(env.process(run_request(env, sess, spec)))
-    env.run(until=env.all_of(procs))
+    arbiters = []
+
+    def factory(env, nodes, net):
+        system = StringsSystem(env, nodes, net, balancing=GMin())
+        arbiters.append(
+            install_arbiter(
+                system, GMin(), MBF(system.sft), min_profiles=3, min_distinct_apps=2
+            )
+        )
+        return system
+
+    _batch(factory, ["BS", "GA", "BS", "GA", "BS", "GA"])
+    arbiter = arbiters[0]
     return {
         "switched": arbiter.switched,
         "switched_at_profile": arbiter.switched_at_profile,

@@ -83,9 +83,8 @@ def run(
         telemetry=telemetry,
         fault_plan=plan,
     )
-    offered = sum(len(s) for s in streams)
+    offered, completed = res.offered, res.completed
     summary = res.faults_summary or {}
-    completed = len(res.results)
     return {
         "policy": policy,
         "offered": offered,

@@ -12,12 +12,11 @@ GUF-Strings 3.96x; GUF shines on pairs with contrasting GPU utilization.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.workloads import PAIRS
 from repro.harness import registry
-from repro.harness.format import format_table
-from repro.harness.pairsweep import family_of, pair_speedup_sweep
+from repro.harness.pairsweep import PairFigure
 from repro.harness.runner import ExperimentScale, SCALE_PAPER
 
 POLICIES = ["RTF-Rain", "GUF-Rain", "RTF-Strings", "GUF-Strings"]
@@ -30,51 +29,25 @@ PAPER_AVERAGES = {
 }
 
 
+@registry.register("fig14")
+class Fig14(PairFigure):
+    """Fig. 14 — feedback balancing (RTF/GUF) with pre-warmed profiles."""
+
+    policies = POLICIES
+    paper_averages = PAPER_AVERAGES
+    prewarm = True
+    title = (
+        "Fig. 14 — feedback-based load balancing "
+        "(vs single-node GRR of the same family; SFT pre-warmed)"
+    )
+
+
 def run(
     scale: ExperimentScale = SCALE_PAPER,
     pair_labels: Sequence[str] = tuple(PAIRS),
     policies: Sequence[str] = tuple(POLICIES),
 ) -> Dict[str, Dict[str, float]]:
-    return pair_speedup_sweep(
-        policies,
-        scale,
-        tag="fig14",
-        baseline_policy_for=lambda p: f"GRR-{family_of(p)}",
-        baseline_split_nodes=False,
-        pair_labels=pair_labels,
-        prewarm=True,
-    )
-
-
-@registry.register("fig14")
-class Fig14(registry.Experiment):
-    """Fig. 14 — feedback balancing (RTF/GUF) with pre-warmed profiles."""
-
-    options = {
-        "pairs": 'pair labels, e.g. ["A","G"]',
-        "policies": "policy subset",
-    }
-
-    def run(self, ctx: registry.ExperimentContext):
-        return run(
-            ctx.scale,
-            pair_labels=tuple(ctx.option("pairs", tuple(PAIRS))),
-            policies=tuple(ctx.option("policies", tuple(POLICIES))),
-        )
-
-    def analyze(self, data, ctx: registry.ExperimentContext) -> str:
-        policies = [p for p in POLICIES if p in data]
-        labels = [l for l in PAIRS if policies and l in data[policies[0]]]
-        rows: List[list] = [
-            [p] + [data[p][l] for l in labels] + [data[p]["avg"], PAPER_AVERAGES[p]]
-            for p in policies
-        ]
-        return format_table(
-            ["Policy"] + labels + ["AVG", "AVG(paper)"],
-            rows,
-            title="Fig. 14 — feedback-based load balancing "
-                  "(vs single-node GRR of the same family; SFT pre-warmed)",
-        )
+    return Fig14().sweep(scale, pair_labels, policies)
 
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:

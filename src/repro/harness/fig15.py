@@ -13,19 +13,67 @@ information and wins nearly everywhere.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.workloads import PAIRS
 from repro.harness import registry
-from repro.harness.format import format_table
-from repro.harness.pairsweep import pair_speedup_sweep
+from repro.harness.pairsweep import PairFigure
 from repro.harness.runner import ExperimentScale, SCALE_PAPER
 
 POLICIES = ["DTF-Strings", "MBF-Strings"]
 
 PAPER_AVERAGES = {"DTF-Strings": 3.73, "MBF-Strings": 4.02}
+
+
+@registry.register("fig15")
+class Fig15(PairFigure):
+    """Fig. 15 — Strings-only feedback (DTF/MBF) plus the CUDA headline."""
+
+    options = {
+        **PairFigure.options,
+        "cuda_headline": "also run the CUDA-runtime headline (default true)",
+    }
+    policies = POLICIES
+    paper_averages = PAPER_AVERAGES
+    prewarm = True
+    title = (
+        "Fig. 15 — Strings-specific feedback policies "
+        "(vs single-node GRR-Strings; SFT pre-warmed)"
+    )
+
+    def sweep(
+        self, scale, pair_labels=tuple(PAIRS), policies=None, include_cuda_headline=True
+    ):
+        data = super().sweep(
+            scale, pair_labels, policies,
+            extra_systems=("CUDA",) if include_cuda_headline else (),
+        )
+        if include_cuda_headline:
+            means = data["_means"]
+            headline = [
+                means["CUDA"][l] / means["MBF-Strings"][l] for l in pair_labels
+            ]
+            data["mbf_vs_cuda_avg"] = float(np.mean(headline))
+        return data
+
+    def run(self, ctx: registry.ExperimentContext):
+        return self.sweep(
+            ctx.scale,
+            pair_labels=tuple(ctx.option("pairs", tuple(PAIRS))),
+            policies=tuple(ctx.option("policies", tuple(self.policies))),
+            include_cuda_headline=bool(ctx.option("cuda_headline", True)),
+        )
+
+    def analyze(self, data, ctx: registry.ExperimentContext) -> str:
+        out = super().analyze(data, ctx)
+        if "mbf_vs_cuda_avg" in data:
+            out += (
+                f"\nheadline: MBF vs bare CUDA runtime = "
+                f"{data['mbf_vs_cuda_avg']:.2f}x (paper: 8.70x)"
+            )
+        return out
 
 
 def run(
@@ -34,62 +82,7 @@ def run(
     policies: Sequence[str] = tuple(POLICIES),
     include_cuda_headline: bool = True,
 ) -> Dict[str, Dict[str, float]]:
-    data = pair_speedup_sweep(
-        policies,
-        scale,
-        tag="fig15",
-        baseline_policy_for=lambda p: "GRR-Strings",
-        baseline_split_nodes=False,
-        pair_labels=pair_labels,
-        prewarm=True,
-        extra_systems=("CUDA",) if include_cuda_headline else (),
-    )
-    if include_cuda_headline:
-        means = data["_means"]
-        headline = [
-            means["CUDA"][l] / means["MBF-Strings"][l] for l in pair_labels
-        ]
-        data["mbf_vs_cuda_avg"] = float(np.mean(headline))  # type: ignore[assignment]
-    return data
-
-
-@registry.register("fig15")
-class Fig15(registry.Experiment):
-    """Fig. 15 — Strings-only feedback (DTF/MBF) plus the CUDA headline."""
-
-    options = {
-        "pairs": 'pair labels, e.g. ["A","G"]',
-        "policies": "policy subset",
-        "cuda_headline": "also run the CUDA-runtime headline (default true)",
-    }
-
-    def run(self, ctx: registry.ExperimentContext):
-        return run(
-            ctx.scale,
-            pair_labels=tuple(ctx.option("pairs", tuple(PAIRS))),
-            policies=tuple(ctx.option("policies", tuple(POLICIES))),
-            include_cuda_headline=bool(ctx.option("cuda_headline", True)),
-        )
-
-    def analyze(self, data, ctx: registry.ExperimentContext) -> str:
-        policies = [p for p in POLICIES if p in data]
-        labels = [l for l in PAIRS if policies and l in data[policies[0]]]
-        rows: List[list] = [
-            [p] + [data[p][l] for l in labels] + [data[p]["avg"], PAPER_AVERAGES[p]]
-            for p in policies
-        ]
-        out = format_table(
-            ["Policy"] + labels + ["AVG", "AVG(paper)"],
-            rows,
-            title="Fig. 15 — Strings-specific feedback policies "
-                  "(vs single-node GRR-Strings; SFT pre-warmed)",
-        )
-        if "mbf_vs_cuda_avg" in data:
-            out += (
-                f"\nheadline: MBF vs bare CUDA runtime = "
-                f"{data['mbf_vs_cuda_avg']:.2f}x (paper: 8.70x)"
-            )
-        return out
+    return Fig15().sweep(scale, pair_labels, policies, include_cuda_headline)
 
 
 def main(scale: ExperimentScale = SCALE_PAPER) -> str:

@@ -16,26 +16,23 @@ from typing import Dict
 
 import numpy as np
 
-from repro.sim import Environment
 from repro.sim.rng import RandomStream
 from repro.cluster import build_single_gpu_server
-from repro.core.policies import GRR
-from repro.core.systems import CudaRuntimeSystem, StringsSystem
-from repro.apps import app_by_short, run_request
+from repro.apps import app_by_short
 from repro.harness import registry
-from repro.harness.runner import ExperimentScale, SCALE_PAPER
+from repro.harness.runner import (
+    ExperimentScale,
+    SCALE_PAPER,
+    run_stream_experiment,
+    system_factories,
+)
 from repro.simgpu.trace import utilization_timeline
 from repro.workloads import exponential_stream
 from repro.harness.format import format_series
 
 
 def _drive(system_label: str, scale: ExperimentScale):
-    env = Environment()
-    nodes, net = build_single_gpu_server(env)
-    if system_label == "sequential":
-        system = CudaRuntimeSystem(env, nodes, net)
-    else:
-        system = StringsSystem(env, nodes, net, balancing=GRR())
+    factory = system_factories()["CUDA" if system_label == "sequential" else "GRR-Strings"]
     app = app_by_short("MC")
     # Identical arrival stream for both executions (same seed on purpose):
     # the figure compares how the same burst pattern is absorbed.
@@ -43,21 +40,17 @@ def _drive(system_label: str, scale: ExperimentScale):
     stream = exponential_stream(
         app, rng, n_requests=max(6, scale.requests_per_stream), load_factor=1.2
     )
-    procs = []
-    completions = []
+    devices = []
 
-    def launcher(req):
-        yield env.timeout(max(0.0, req.arrival_s - env.now))
-        sess = system.session(app.short, nodes[0])
-        res = yield env.process(run_request(env, sess, app, arrival_s=req.arrival_s))
-        completions.append(res.completion_s)
+    def testbed(env):
+        # The one figure that reads the devices' busy-interval timelines.
+        nodes, net = build_single_gpu_server(env, trace=True)
+        devices.append(nodes[0].devices[0])
+        return nodes, net
 
-    for req in stream:
-        procs.append(env.process(launcher(req)))
-    env.run(until=env.all_of(procs))
-
-    device = nodes[0].devices[0]
-    horizon = env.now
+    run = run_stream_experiment(factory, [stream], testbed, label=system_label)
+    device = devices[0]
+    horizon = run.sim_time_s
     times, util = utilization_timeline(
         device.tracer.snapshot(horizon), 0.0, horizon, bins=120
     )
@@ -70,7 +63,7 @@ def _drive(system_label: str, scale: ExperimentScale):
         "ctx_switches": device.ctx_switches,
         # The paper's "glitches": device idle time spent switching contexts.
         "glitch_idle_s": device.ctx_switches * device.spec.ctx_switch_s,
-        "mean_completion_s": float(np.mean(completions)),
+        "mean_completion_s": float(np.mean([r.completion_s for r in run.results])),
         "makespan_s": horizon,
     }
 

@@ -1,8 +1,8 @@
-"""Shared machinery for the paired-workload supernode figures (12, 13, 14, 15)."""
+"""Shared machinery for the paired-workload supernode figures (10, 12-15)."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -11,6 +11,7 @@ from repro.cluster import build_paper_supernode, build_small_server
 from repro.metrics import mean_completion_s
 from repro.workloads import PAIRS, exponential_stream, pair_apps
 from repro.harness import registry
+from repro.harness.format import format_table
 from repro.harness.runner import (
     ExperimentScale,
     run_stream_experiment,
@@ -43,19 +44,15 @@ def pair_speedup_sweep(
     policies: Sequence[str],
     scale: ExperimentScale,
     tag: str,
-    baseline_policy_for: Callable[[str], str],
     baseline_split_nodes: bool,
     pair_labels: Sequence[str] = tuple(PAIRS),
     prewarm: bool = False,
     extra_systems: Sequence[str] = (),
 ) -> Dict[str, Dict[str, float]]:
-    """Run ``policies`` on the supernode against per-family baselines.
+    """Run ``policies`` on the supernode against GRR of each one's family.
 
     Parameters
     ----------
-    baseline_policy_for:
-        Maps a policy label to its baseline system label (e.g. always
-        ``GRR-Strings`` for single-node GRR baselines).
     baseline_split_nodes:
         False = baseline runs both streams on the small server (single-
         node GRR baseline of Figs. 10/12/14/15); True = baseline runs on
@@ -74,7 +71,7 @@ def pair_speedup_sweep(
     for label in pair_labels:
         base_means: Dict[str, float] = {}
         for policy in policies:
-            base_label = baseline_policy_for(policy)
+            base_label = f"GRR-{family_of(policy)}"
             if base_label not in base_means:
                 base = run_stream_experiment(
                     factories[base_label],
@@ -93,7 +90,7 @@ def pair_speedup_sweep(
             )
             mean = mean_completion_s(res.results)
             means[policy][label] = mean
-            speedups[policy][label] = base_means[baseline_policy_for(policy)] / mean
+            speedups[policy][label] = base_means[base_label] / mean
 
         for system in extra_systems:
             res = run_stream_experiment(
@@ -110,6 +107,66 @@ def pair_speedup_sweep(
         )
     speedups["_means"] = means  # type: ignore[assignment]
     return speedups
+
+
+class PairFigure(registry.Experiment):
+    """A paired-workload supernode figure, declared rather than written.
+
+    A subclass gives its ``policies``, ``paper_averages``, baseline rule
+    (``shared_baseline``), ``prewarm`` flag and report ``title``.  ``run``
+    is one :func:`pair_speedup_sweep` tagged with the registry name (the
+    seed tag of the pair streams), and ``analyze`` renders the per-pair
+    speedup table with its AVG and AVG(paper) columns.
+    """
+
+    options = {
+        "pairs": 'pair labels, e.g. ["A","G"]',
+        "policies": "policy subset",
+    }
+    policies: Sequence[str] = ()
+    paper_averages: Dict[str, float] = {}
+    #: The baseline is GRR of each policy's family: False runs it on the
+    #: small server (single-node GRR), True shares all four supernode
+    #: GPUs (Fig. 13 isolates the device-level scheduling benefit).
+    shared_baseline = False
+    #: Seed the SFT of the policy systems (the feedback figures).
+    prewarm = False
+    title = ""
+
+    def sweep(
+        self,
+        scale: ExperimentScale,
+        pair_labels: Sequence[str] = tuple(PAIRS),
+        policies: Optional[Sequence[str]] = None,
+        extra_systems: Sequence[str] = (),
+    ) -> Dict[str, Dict[str, float]]:
+        return pair_speedup_sweep(
+            self.policies if policies is None else policies,
+            scale,
+            tag=self.name,
+            baseline_split_nodes=self.shared_baseline,
+            pair_labels=pair_labels,
+            prewarm=self.prewarm,
+            extra_systems=extra_systems,
+        )
+
+    def run(self, ctx: registry.ExperimentContext):
+        return self.sweep(
+            ctx.scale,
+            pair_labels=tuple(ctx.option("pairs", tuple(PAIRS))),
+            policies=tuple(ctx.option("policies", tuple(self.policies))),
+        )
+
+    def analyze(self, data, ctx: registry.ExperimentContext) -> str:
+        policies = [p for p in self.policies if p in data]
+        labels = [l for l in PAIRS if policies and l in data[policies[0]]]
+        rows = [
+            [p] + [data[p][l] for l in labels] + [data[p]["avg"], self.paper_averages[p]]
+            for p in policies
+        ]
+        return format_table(
+            ["Policy"] + labels + ["AVG", "AVG(paper)"], rows, title=self.title
+        )
 
 
 @registry.register("pairsweep")
@@ -170,4 +227,4 @@ class PairSweep(registry.GridExperiment):
         }
 
 
-__all__ = ["PairSweep", "family_of", "pair_speedup_sweep", "pair_streams"]
+__all__ = ["PairFigure", "PairSweep", "family_of", "pair_speedup_sweep", "pair_streams"]

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import repro.faults as faults
 import repro.obs as obs
 from repro.sim import Environment
-from repro.sim.rng import RandomStream
 from repro.cluster import Network, Node
 from repro.cuda.errors import CudaError
 from repro.apps.models import AppSpec, RequestResult, run_request
@@ -34,7 +34,7 @@ from repro.core.systems import (
 )
 from repro.telemetry import DecisionLog
 from repro.workloads.streams import Request, RequestStream
-from repro.traffic import TenantDeparted, TrafficGenerator
+from repro.traffic import TenantDeparted, TenantSession, TrafficGenerator
 
 #: (env, nodes, network) -> system with a ``.session(...)`` method.
 SystemFactory = Callable[[Environment, List[Node], Network], object]
@@ -149,26 +149,59 @@ def system_factories() -> Dict[str, SystemFactory]:
 
 
 # --------------------------------------------------------------------------
-# Stream experiments (open-loop arrivals)
+# The request path: finite streams and generated traffic share one body
 # --------------------------------------------------------------------------
 
 
 @dataclass
-class StreamRunResult:
-    """Outcome of one stream experiment."""
+class RunResult:
+    """Outcome of one run through the request path (either runner).
 
-    label: str
-    results: List[RequestResult]
-    sim_time_s: float
-    wall_time_s: float
+    Latencies live in a telemetry histogram (a quantile sketch under
+    streaming mode) and everything else is counters, so a
+    production-scale open-loop run (10^5-10^6 requests) never keeps a
+    ``RequestResult`` list.  ``results`` (completion order) is populated
+    for stream runs and under ``keep_results=True`` (tests, small runs).
+    """
+
+    label: str = ""
+    #: Requests issued into the system (completed + aborted + failed).
+    offered: int = 0
+    completed: int = 0
+    #: Requests killed mid-flight by tenant churn (session departed).
+    aborted: int = 0
+    #: Requests lost to fault injection (retry budget exhausted).
+    failed: int = 0
+    sessions: int = 0
+    churned_sessions: int = 0
+    sim_time_s: float = 0.0
+    wall_time_s: float = 0.0
+    #: Arrival horizon (requests stop arriving here; the run itself
+    #: drains until the last in-flight request resolves).
+    duration_s: float = 0.0
+    latency_sum_s: float = 0.0
+    latency_max_s: float = 0.0
+    per_app: Dict[str, int] = field(default_factory=dict)
+    #: Telemetry histogram of completion latencies (``quantile(q)``).
+    latency_hist: object = None
     #: Availability summary when fault injection was active, else None.
     faults_summary: Optional[Dict[str, object]] = None
+    results: Optional[List[RequestResult]] = None
 
-    def per_app(self) -> Dict[str, List[RequestResult]]:
-        out: Dict[str, List[RequestResult]] = {}
-        for r in self.results:
-            out.setdefault(r.app, []).append(r)
-        return out
+    @property
+    def goodput_rps(self) -> float:
+        """Completed requests per sim second over the arrival horizon."""
+        horizon = self.duration_s if self.duration_s > 0 else self.sim_time_s
+        return self.completed / horizon if horizon > 0 else 0.0
+
+    @property
+    def mean_latency_s(self) -> float:
+        return self.latency_sum_s / self.completed if self.completed else 0.0
+
+    def latency_quantile(self, q: float) -> float:
+        if self.latency_hist is None or not self.completed:
+            return 0.0
+        return self.latency_hist.quantile(q)
 
 
 def run_stream_experiment(
@@ -179,23 +212,92 @@ def run_stream_experiment(
     prewarm: bool = False,
     telemetry=None,
     fault_plan=None,
-) -> StreamRunResult:
+) -> RunResult:
     """Run request streams (one per node index) through a system.
 
-    Each request becomes a simulation process that waits for its arrival
-    time, opens a session on its node and drives :func:`run_request`.
-    ``prewarm=True`` seeds the system's SFT with analytic solo profiles
-    (the "system has seen this application before" steady state of the
-    feedback experiments).  ``telemetry`` overrides the installed default
-    registry (see :mod:`repro.obs`); spans/decisions of this run are
-    labelled ``label``.  ``fault_plan`` overrides the installed
-    process-wide fault plan (see :mod:`repro.faults`); with neither, the
-    run takes the unchanged null path.
+    The streams enter the request path as one tenant session that
+    arrives at t=0 and never departs, holding every request in stream
+    order; each request waits for its own arrival time, opens a session
+    on its node and drives :func:`run_request`.  ``prewarm=True`` seeds
+    the system's SFT with analytic solo profiles (the "system has seen
+    this application before" steady state of the feedback experiments).
+    ``telemetry`` overrides the installed default registry (see
+    :mod:`repro.obs`); spans/decisions of this run are labelled
+    ``label``.  ``fault_plan`` overrides the installed process-wide
+    fault plan (see :mod:`repro.faults`); with neither, the run takes
+    the unchanged null path.
+    """
+    # The requests mix apps and tenants, so the session names neither.
+    session = TenantSession(
+        session_id=0, tenant_id="", app=None, arrival_s=0.0, departure_s=math.inf,
+        requests=tuple(req for stream in streams for req in stream),
+    )
+    horizon_s = max((s.horizon_s for s in streams), default=0.0)
+    return _run_sessions(
+        factory, [session], testbed, label, prewarm, telemetry, fault_plan,
+        horizon_s, keep_results=True,
+    )
+
+
+def run_open_loop_experiment(
+    factory: SystemFactory,
+    traffic: TrafficGenerator,
+    testbed: Callable[[Environment], Tuple[List[Node], Network]],
+    label: str = "",
+    prewarm: bool = False,
+    telemetry=None,
+    fault_plan=None,
+    keep_results: bool = False,
+) -> RunResult:
+    """Drive generated traffic through a system until the last request drains.
+
+    The lazy session stream of a :class:`~repro.traffic.TrafficGenerator`
+    enters the request path as is, so sessions materialize only as the
+    run reaches their arrival and memory stays O(active sessions)
+    however many requests the run offers.  The traffic's duration is the
+    arrival horizon.  Parameters as for :func:`run_stream_experiment`;
+    ``keep_results=True`` also keeps every ``RequestResult``.
+    """
+    return _run_sessions(
+        factory, traffic.sessions(), testbed, label, prewarm, telemetry,
+        fault_plan, traffic.duration_s, keep_results,
+    )
+
+
+def _run_sessions(
+    factory: SystemFactory,
+    sessions: Iterable[TenantSession],
+    testbed: Callable[[Environment], Tuple[List[Node], Network]],
+    label: str,
+    prewarm: bool,
+    telemetry,
+    fault_plan,
+    horizon_s: float,
+    keep_results: bool,
+) -> RunResult:
+    """The request path both runners share.
+
+    A driver process walks ``sessions`` (arrival-ordered, possibly lazy),
+    spawning one process per request as each session arrives, and a
+    counting barrier fires once the driver is exhausted and the last
+    in-flight request resolves.
+
+    Churn: a session whose tenant departs mid-flight is killed with
+    :class:`~repro.traffic.TenantDeparted` via ``session.abort`` — the
+    scheduler evicts its RCB entry without emitting an SFT profile and
+    only that session's queued work is cancelled (see
+    ``ManagedSession.abort``).  The CUDA baseline's sessions cannot be
+    aborted (no scheduler to unwind) and simply run to completion, as do
+    requests routed through the fault-recovery path.
     """
     tel = telemetry if telemetry is not None else obs.current()
     env = Environment(telemetry=tel)
     tel.run_label = label
     nodes, network = testbed(env)
+    if type(tel.decisions) is DecisionLog and not tel.decisions.placements:
+        # One placement record per request is an O(run) retainer under an
+        # unbounded horizon; keep a recent window for reports instead.
+        tel.decisions = DecisionLog(tel, maxlen=10_000)
     system = factory(env, nodes, network)
 
     if prewarm:
@@ -211,55 +313,153 @@ def run_stream_experiment(
         )
         faults.FaultInjector(env, plan, recovery).start()
 
-    # Continuous sampling (ISSUE 2): the sampler loops forever, which is
-    # safe here because the run is bounded by the all_of(procs) horizon.
+    # Continuous sampling: the sampler loops forever, which is safe
+    # because the run ends at the barrier below.
     sampler = getattr(tel, "sampler", None)
     if sampler is not None and tel.sampling:
-        # The arrival horizon lets the live console (ISSUE 6) turn sim
-        # time into a progress fraction and a wall-clock ETA.
-        tel.run_horizon_s = max((s.horizon_s for s in streams), default=0.0)
+        # Progress for the live console: sim time over the arrival
+        # horizon (the request count is unknown for lazy traffic).
+        tel.run_horizon_s = horizon_s
         sampler.start(env, system)
 
-    collected: List[RequestResult] = []
-    procs = []
+    run = RunResult(
+        label=label,
+        duration_s=horizon_s,
+        latency_hist=tel.histogram("harness.latency_s", label=label),
+        results=[] if keep_results else None,
+    )
+    outstanding = 0
+    driver_done = False
+    done = env.event()
 
-    def launcher(req: Request):
+    def finish_one():
+        nonlocal outstanding
+        outstanding -= 1
+        if driver_done and outstanding == 0 and not done.triggered:
+            done.succeed()
+
+    def _close_root_span(session):
+        # An aborted request never reaches run_request's root.finish();
+        # close the span here (flagged) or the streaming store retains
+        # its whole span group — an O(aborts) leak over a long run.
+        root = getattr(session, "root_span", None)
+        if root is not None and not root.finished:
+            if root.args is not None:
+                root.args["aborted"] = True
+            root.finish(env.now)
+
+    def request_proc(req: Request, live: list, state: dict):
         if req.arrival_s > env.now:
             yield env.timeout(req.arrival_s - env.now)
-        node = nodes[min(req.node_index, len(nodes) - 1)]
-        if recovery is not None:
-            try:
-                result = yield env.process(recovery.run_resilient(node, req))
-            except CudaError:
-                # Retry budget exhausted: the request is lost (counted in
-                # the availability summary), the run carries on.
+        try:
+            if state["departed"]:
+                run.aborted += 1
                 return
-        else:
-            session = system.session(
-                req.app.short,
-                node,
-                tenant_id=req.tenant_id,
-                tenant_weight=req.tenant_weight,
-            )
-            result = yield env.process(
-                run_request(env, session, req.app, arrival_s=req.arrival_s)
-            )
-        collected.append(result)
+            node = nodes[min(req.node_index, len(nodes) - 1)]
+            if recovery is not None:
+                try:
+                    result = yield env.process(recovery.run_resilient(node, req))
+                except CudaError:
+                    # Retry budget exhausted: the request is lost (counted
+                    # in the availability summary), the run carries on.
+                    run.failed += 1
+                    return
+            else:
+                session = system.session(
+                    req.app.short,
+                    node,
+                    tenant_id=req.tenant_id,
+                    tenant_weight=req.tenant_weight,
+                )
+                live.append(session)
+                try:
+                    result = yield env.process(
+                        run_request(env, session, req.app, arrival_s=req.arrival_s)
+                    )
+                except TenantDeparted:
+                    run.aborted += 1
+                    _close_root_span(session)
+                    return
+                except CudaError:
+                    # An aborted session's in-flight work can surface as
+                    # a CudaError (its worker is torn down underneath
+                    # it); attribute that to the churn abort.  Anything
+                    # else is a real failure and must propagate.
+                    if not getattr(session, "aborted", False):
+                        raise
+                    run.aborted += 1
+                    _close_root_span(session)
+                    return
+                finally:
+                    live.remove(session)
+            run.completed += 1
+            latency = result.completion_s
+            run.latency_sum_s += latency
+            if latency > run.latency_max_s:
+                run.latency_max_s = latency
+            run.latency_hist.observe(latency)
+            run.per_app[result.app] = run.per_app.get(result.app, 0) + 1
+            if run.results is not None:
+                run.results.append(result)
+        finally:
+            finish_one()
 
-    for stream in streams:
-        for req in stream:
-            procs.append(env.process(launcher(req), name=f"req:{req.app.short}"))
+    def departure_watch(ts, live: list, state: dict):
+        if ts.departure_s > env.now:
+            yield env.timeout(ts.departure_s - env.now)
+        state["departed"] = True
+        exc = TenantDeparted(
+            f"tenant {ts.tenant_id} departed at {ts.departure_s:.3f}s"
+        )
+        for session in list(live):
+            abort = getattr(session, "abort", None)
+            if abort is not None:
+                abort(exc)
 
+    def driver():
+        nonlocal outstanding, driver_done
+        # Session generation (arrival-process sampling, churn draws, the
+        # k-way merge) all happens inside next(); bill it to the
+        # ``traffic.gen`` wall-clock zone when self-profiling is on.
+        perf = getattr(tel, "perf", None)
+        pending = iter(sessions)
+        while True:
+            if perf is not None:
+                perf.push("traffic.gen")
+            ts = next(pending, None)
+            if perf is not None:
+                perf.pop()
+            if ts is None:
+                break
+            if ts.arrival_s > env.now:
+                yield env.timeout(ts.arrival_s - env.now)
+            run.sessions += 1
+            if ts.churned:
+                run.churned_sessions += 1
+            live: list = []
+            state = {"departed": False}
+            for req in ts.requests:
+                run.offered += 1
+                outstanding += 1
+                env.process(
+                    request_proc(req, live, state), name=f"req:{req.app.short}"
+                )
+            if ts.churned:
+                env.process(
+                    departure_watch(ts, live, state), name=f"churn:{ts.tenant_id}"
+                )
+        driver_done = True
+        if outstanding == 0 and not done.triggered:
+            done.succeed()
+
+    env.process(driver(), name="traffic-driver")
     with tel.stopwatch("harness.wall_s", label=label) as sw:
-        env.run(until=env.all_of(procs))
+        env.run(until=done)
     tel.gauge("harness.sim_time_s", label=label).set(env.now)
-    return StreamRunResult(
-        label=label,
-        results=collected,
-        sim_time_s=env.now,
-        wall_time_s=sw.elapsed,
-        faults_summary=recovery.summary() if recovery is not None else None,
-    )
+    run.sim_time_s, run.wall_time_s = env.now, sw.elapsed
+    if recovery is not None:
+        run.faults_summary = recovery.summary()
+    return run
 
 
 def prewarm_sft(system) -> None:
@@ -288,281 +488,6 @@ def prewarm_sft(system) -> None:
                 bytes_accessed_gb=app.iterations * app.kernel_bytes_gb,
             )
         )
-
-
-# --------------------------------------------------------------------------
-# Open-loop traffic experiments (duration horizon, tenant churn — ISSUE 8)
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class OpenLoopResult:
-    """Outcome of one open-loop traffic run (aggregates, not per-request).
-
-    Production-scale runs (10^5-10^6 requests) never keep a
-    ``RequestResult`` list: latencies live in a telemetry histogram (a
-    quantile sketch under streaming mode) and everything else is
-    counters.  ``results`` is populated only under ``keep_results=True``
-    (tests, small runs).
-    """
-
-    label: str
-    #: Requests issued into the system (completed + aborted + failed).
-    offered: int
-    completed: int
-    #: Requests killed mid-flight by tenant churn (session departed).
-    aborted: int
-    #: Requests lost to fault injection (retry budget exhausted).
-    failed: int
-    sessions: int
-    churned_sessions: int
-    sim_time_s: float
-    wall_time_s: float
-    #: Arrival horizon of the traffic (requests stop arriving here; the
-    #: run itself drains until the last in-flight request resolves).
-    duration_s: float
-    latency_sum_s: float
-    latency_max_s: float
-    per_app: Dict[str, int]
-    #: Telemetry histogram of completion latencies (``quantile(q)``).
-    latency_hist: object = None
-    faults_summary: Optional[Dict[str, object]] = None
-    results: Optional[List[RequestResult]] = None
-
-    @property
-    def goodput_rps(self) -> float:
-        """Completed requests per sim second over the arrival horizon."""
-        horizon = self.duration_s if self.duration_s > 0 else self.sim_time_s
-        return self.completed / horizon if horizon > 0 else 0.0
-
-    @property
-    def mean_latency_s(self) -> float:
-        return self.latency_sum_s / self.completed if self.completed else 0.0
-
-    def latency_quantile(self, q: float) -> float:
-        if self.latency_hist is None or not self.completed:
-            return 0.0
-        return self.latency_hist.quantile(q)
-
-
-def run_open_loop_experiment(
-    factory: SystemFactory,
-    traffic: TrafficGenerator,
-    testbed: Callable[[Environment], Tuple[List[Node], Network]],
-    label: str = "",
-    prewarm: bool = False,
-    telemetry=None,
-    fault_plan=None,
-    keep_results: bool = False,
-) -> OpenLoopResult:
-    """Drive generated traffic through a system until the last request drains.
-
-    Unlike :func:`run_stream_experiment` (which materializes every
-    request process up front and joins on ``all_of``), this runner is
-    bounded by a *duration horizon*: a driver process walks the lazy
-    session stream of a :class:`~repro.traffic.TrafficGenerator` in
-    arrival order, spawning per-request processes as sessions arrive,
-    and a counting barrier fires once the driver is exhausted and the
-    last in-flight request resolves — memory stays O(active sessions)
-    regardless of how many requests the run offers.
-
-    Churn: a session whose tenant departs mid-flight is killed with
-    :class:`~repro.traffic.TenantDeparted` via ``session.abort`` — the
-    scheduler evicts its RCB entry without emitting an SFT profile and
-    only that session's queued work is cancelled (see
-    ``ManagedSession.abort``).  The CUDA baseline's sessions cannot be
-    aborted (no scheduler to unwind) and simply run to completion, as do
-    requests routed through the fault-recovery path.
-    """
-    tel = telemetry if telemetry is not None else obs.current()
-    env = Environment(telemetry=tel)
-    tel.run_label = label
-    try:
-        # Utilization timelines accumulate one interval per device op for
-        # the whole run — a fig-plotting feature no open-loop aggregate
-        # reads, and an O(ops) retainer over an unbounded horizon.
-        nodes, network = testbed(env, trace=False)
-    except TypeError:
-        nodes, network = testbed(env)
-    if type(tel.decisions) is DecisionLog and not tel.decisions.placements:
-        # One placement record per request is an O(run) retainer under an
-        # unbounded horizon; keep a recent window for reports instead.
-        tel.decisions = DecisionLog(tel, maxlen=10_000)
-    system = factory(env, nodes, network)
-
-    if prewarm:
-        prewarm_sft(system)
-
-    plan = fault_plan if fault_plan is not None else faults.current_plan()
-    recovery = None
-    if plan is not None and getattr(system, "pool", None) is not None:
-        recovery = faults.RecoveryManager(
-            env, system, retry=plan.retry, warmup_s=plan.warmup_s
-        )
-        faults.FaultInjector(env, plan, recovery).start()
-
-    sampler = getattr(tel, "sampler", None)
-    if sampler is not None and tel.sampling:
-        # Progress for the live console: sim time over the arrival
-        # horizon (the request count is unknown for lazy traffic).
-        tel.run_horizon_s = traffic.duration_s
-        sampler.start(env, system)
-
-    latency_hist = tel.histogram("openloop.latency_s", label=label)
-    stats = {
-        "offered": 0,
-        "completed": 0,
-        "aborted": 0,
-        "failed": 0,
-        "sessions": 0,
-        "churned": 0,
-        "latency_sum": 0.0,
-        "latency_max": 0.0,
-        "outstanding": 0,
-        "driver_done": False,
-    }
-    per_app: Dict[str, int] = {}
-    collected: Optional[List[RequestResult]] = [] if keep_results else None
-    done = env.event()
-
-    def finish_one():
-        stats["outstanding"] -= 1
-        if stats["driver_done"] and stats["outstanding"] == 0 and not done.triggered:
-            done.succeed()
-
-    def _close_root_span(session):
-        # An aborted request never reaches run_request's root.finish();
-        # close the span here (flagged) or the streaming store retains
-        # its whole span group — an O(aborts) leak over a long run.
-        root = getattr(session, "root_span", None)
-        if root is not None and not root.finished:
-            if root.args is not None:
-                root.args["aborted"] = True
-            root.finish(env.now)
-
-    def request_proc(req: Request, live: list, state: dict):
-        if req.arrival_s > env.now:
-            yield env.timeout(req.arrival_s - env.now)
-        try:
-            if state["departed"]:
-                stats["aborted"] += 1
-                return
-            node = nodes[min(req.node_index, len(nodes) - 1)]
-            if recovery is not None:
-                try:
-                    result = yield env.process(recovery.run_resilient(node, req))
-                except CudaError:
-                    stats["failed"] += 1
-                    return
-            else:
-                session = system.session(
-                    req.app.short,
-                    node,
-                    tenant_id=req.tenant_id,
-                    tenant_weight=req.tenant_weight,
-                )
-                live.append(session)
-                try:
-                    result = yield env.process(
-                        run_request(env, session, req.app, arrival_s=req.arrival_s)
-                    )
-                except TenantDeparted:
-                    stats["aborted"] += 1
-                    _close_root_span(session)
-                    return
-                except CudaError:
-                    # An aborted session's in-flight work can surface as
-                    # a CudaError (its worker is torn down underneath
-                    # it); attribute that to the churn abort.  Anything
-                    # else is a real failure and must propagate.
-                    if not getattr(session, "aborted", False):
-                        raise
-                    stats["aborted"] += 1
-                    _close_root_span(session)
-                    return
-                finally:
-                    live.remove(session)
-            stats["completed"] += 1
-            latency = result.completion_s
-            stats["latency_sum"] += latency
-            if latency > stats["latency_max"]:
-                stats["latency_max"] = latency
-            latency_hist.observe(latency)
-            per_app[result.app] = per_app.get(result.app, 0) + 1
-            if collected is not None:
-                collected.append(result)
-        finally:
-            finish_one()
-
-    def departure_watch(ts, live: list, state: dict):
-        if ts.departure_s > env.now:
-            yield env.timeout(ts.departure_s - env.now)
-        state["departed"] = True
-        exc = TenantDeparted(
-            f"tenant {ts.tenant_id} departed at {ts.departure_s:.3f}s"
-        )
-        for session in list(live):
-            abort = getattr(session, "abort", None)
-            if abort is not None:
-                abort(exc)
-
-    def driver():
-        # Session generation (arrival-process sampling, churn draws, the
-        # k-way merge) all happens inside next(); bill it to the
-        # ``traffic.gen`` wall-clock zone when self-profiling is on.
-        perf = getattr(tel, "perf", None)
-        sessions = iter(traffic.sessions())
-        while True:
-            if perf is not None:
-                perf.push("traffic.gen")
-            ts = next(sessions, None)
-            if perf is not None:
-                perf.pop()
-            if ts is None:
-                break
-            if ts.arrival_s > env.now:
-                yield env.timeout(ts.arrival_s - env.now)
-            stats["sessions"] += 1
-            if ts.churned:
-                stats["churned"] += 1
-            live: list = []
-            state = {"departed": False}
-            for req in ts.requests:
-                stats["offered"] += 1
-                stats["outstanding"] += 1
-                env.process(
-                    request_proc(req, live, state), name=f"req:{req.app.short}"
-                )
-            if ts.churned:
-                env.process(
-                    departure_watch(ts, live, state), name=f"churn:{ts.tenant_id}"
-                )
-        stats["driver_done"] = True
-        if stats["outstanding"] == 0 and not done.triggered:
-            done.succeed()
-
-    env.process(driver(), name="traffic-driver")
-    with tel.stopwatch("harness.wall_s", label=label) as sw:
-        env.run(until=done)
-    tel.gauge("harness.sim_time_s", label=label).set(env.now)
-    return OpenLoopResult(
-        label=label,
-        offered=stats["offered"],
-        completed=stats["completed"],
-        aborted=stats["aborted"],
-        failed=stats["failed"],
-        sessions=stats["sessions"],
-        churned_sessions=stats["churned"],
-        sim_time_s=env.now,
-        wall_time_s=sw.elapsed,
-        duration_s=traffic.duration_s,
-        latency_sum_s=stats["latency_sum"],
-        latency_max_s=stats["latency_max"],
-        per_app=per_app,
-        latency_hist=latency_hist,
-        faults_summary=recovery.summary() if recovery is not None else None,
-        results=collected,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -634,10 +559,11 @@ __all__ = [
     "ExperimentScale",
     "SCALE_PAPER",
     "SCALE_QUICK",
-    "StreamRunResult",
+    "RunResult",
     "SystemFactory",
     "closed_loop_shared_run",
     "prewarm_sft",
+    "run_open_loop_experiment",
     "run_stream_experiment",
     "solo_completion_time",
     "system_factories",

@@ -47,7 +47,7 @@ SYSTEMS = {
 def build_n_node_cluster(n: int):
     """A testbed factory for ``n`` dual-GPU nodes (NodeA hardware each)."""
 
-    def build(env: Environment, trace: bool = True) -> Tuple[List[Node], Network]:
+    def build(env: Environment, trace: bool = False) -> Tuple[List[Node], Network]:
         nodes = [
             Node(env, NODE_A_DEVICES, hostname=f"node{i}", trace=trace)
             for i in range(n)

@@ -45,10 +45,12 @@ class GpuDevice:
     spec:
         Hardware description (see :mod:`repro.simgpu.specs`).
     trace:
-        Record busy intervals for utilization timelines (small overhead).
+        Record one busy interval per kernel and copy op, for utilization
+        timelines (Fig. 2) and :meth:`busy_fraction`.  Off by default:
+        the engines' busy accounting needs no tracer.
     """
 
-    def __init__(self, env: Environment, spec: DeviceSpec, trace: bool = True) -> None:
+    def __init__(self, env: Environment, spec: DeviceSpec, trace: bool = False) -> None:
         self.env = env
         self.spec = spec
         self.tracer: Optional[BusyTracer] = BusyTracer() if trace else None

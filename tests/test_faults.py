@@ -22,6 +22,7 @@ from repro.harness import chaos
 from repro.harness.runner import SCALE_QUICK, run_stream_experiment, system_factories
 from repro.obs import Telemetry
 from repro.remoting.backend import BackendDaemon
+from repro.sim.rng import RandomStream
 from repro.workloads import Request, exponential_stream
 
 
@@ -420,3 +421,27 @@ def test_stream_experiment_without_plan_has_no_summary():
         system_factories()["GMin-Strings"], [stream], build_small_server
     )
     assert res.faults_summary is None
+
+
+@pytest.mark.parametrize(
+    "spec", ["gpu_fail@1:gid=3:down=20", "mtbf=2:mttr=1:until=60:gids=0+5"]
+)
+def test_fault_plan_rejects_a_gid_the_pool_lacks(spec):
+    stream = exponential_stream(app_by_short("GA"), RandomStream(1, "x"), 3, 2.0)
+    # The small server's pool is gids 0 and 1: the run must refuse the
+    # plan before simulating, naming the bad gid and the valid ones.
+    with pytest.raises(ValueError, match=r"gid [35], but the pool has gids 0, 1"):
+        run_stream_experiment(
+            system_factories()["GMin-Strings"], [stream], build_small_server,
+            fault_plan=parse_fault_spec(spec),
+        )
+
+
+def test_fault_plan_rejects_a_host_the_pool_lacks():
+    stream = exponential_stream(app_by_short("GA"), RandomStream(1, "x"), 3, 2.0)
+    plan = parse_fault_spec("link_partition@1:host=nodeZ:dur=5")
+    with pytest.raises(ValueError, match="'nodeZ', but the pool has hosts nodeA, nodeB"):
+        run_stream_experiment(
+            system_factories()["GMin-Strings"], [stream], build_paper_supernode,
+            fault_plan=plan,
+        )

@@ -8,6 +8,7 @@ from repro.core.policies import GMin, GRR
 from repro.core.systems import StringsSystem
 from repro.sim.rng import RandomStream
 from repro.apps import app_by_short
+from repro.faults import parse_fault_spec
 from repro.workloads import exponential_stream
 from repro.harness.format import format_series, format_table, geomean
 from repro.harness.pairsweep import family_of
@@ -60,7 +61,40 @@ def test_run_stream_experiment_collects_all_requests():
     )
     assert len(run.results) == 5
     assert run.sim_time_s > 0
-    assert set(run.per_app()) == {"GA"}
+    assert run.per_app == {"GA": 5}
+
+
+def _mc_ga_streams():
+    return [
+        exponential_stream(app_by_short(short), RandomStream(3, short), 4, 2.0)
+        for short in ("MC", "GA")
+    ]
+
+
+def test_stream_run_conserves_requests():
+    streams = _mc_ga_streams()
+    run = run_stream_experiment(
+        system_factories()["GMin-Strings"], streams, build_small_server
+    )
+    assert run.offered == run.completed + run.aborted + run.failed == sum(
+        len(s) for s in streams
+    )
+    assert run.completed == len(run.results)
+
+
+def test_lossy_stream_run_conserves_requests():
+    # No retries under frequent device loss: some requests are lost, and
+    # every one of them is still accounted for.
+    streams = _mc_ga_streams()
+    run = run_stream_experiment(
+        system_factories()["GMin-Strings"], streams, build_small_server,
+        fault_plan=parse_fault_spec("mtbf=2:mttr=1:until=60:seed=7,retries=0"),
+    )
+    assert run.offered == run.completed + run.aborted + run.failed == sum(
+        len(s) for s in streams
+    )
+    assert run.failed == run.faults_summary["requests_lost"] > 0
+    assert run.completed == len(run.results)
 
 
 def test_run_stream_experiment_deterministic_under_seed():

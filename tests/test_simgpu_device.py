@@ -227,7 +227,7 @@ def test_submit_to_destroyed_context_rejected():
 
 def test_busy_fraction_counts_any_engine():
     env = Environment()
-    dev = GpuDevice(env, TESLA_C2050)
+    dev = GpuDevice(env, TESLA_C2050, trace=True)
     ctx = dev.create_context(owner="p1")
     s = ctx.create_stream()
 

@@ -161,3 +161,28 @@ def test_n_node_cluster_builder():
     assert len(nodes) == 3
     assert all(n.device_count == 2 for n in nodes)
     assert len({n.hostname for n in nodes}) == 3
+
+
+@pytest.mark.parametrize(
+    "testbed",
+    [
+        "build_small_server",
+        "build_single_gpu_server",
+        "build_paper_supernode",
+        "n_node_cluster",
+    ],
+)
+def test_default_testbeds_record_no_busy_intervals(testbed):
+    import repro.cluster as cluster
+    from repro.sim import Environment
+
+    build = (
+        scaleout.build_n_node_cluster(2)
+        if testbed == "n_node_cluster"
+        else getattr(cluster, testbed)
+    )
+    env = Environment()
+    nodes, _ = build(env)
+    assert all(d.tracer is None for n in nodes for d in n.devices)
+    traced, _ = build(env, trace=True)
+    assert all(d.tracer is not None for n in traced for d in n.devices)
