@@ -3,8 +3,8 @@
 Runs a fig9-sized workload under four registries — null (observability
 off, the zero-overhead default), sampling-only (the continuous sampler
 and nothing else), the full per-op registry (spans + attribution +
-sampler), and streaming mode (full registry + span shard store +
-quantile sketches, ISSUE 6) — and records per-configuration CPU times to
+sampler + quantile-sketch histograms), and streaming mode (full
+registry + span shard store, ISSUE 6) — and records per-configuration CPU times to
 ``BENCH_obs_overhead.json`` at the repo root.  Three gates:
 
 * continuous sampling must cost < 10 % over the obs-off baseline
@@ -131,8 +131,7 @@ def main(argv=None) -> int:
     stream_dir = tempfile.mkdtemp(prefix="bench-obs-stream-")
 
     def streaming_telemetry():
-        # Mirrors the harness --stream-dir wiring: shard-flushed spans
-        # plus mergeable sketches behind Telemetry.histogram().
+        # Mirrors the harness --emit shards wiring: shard-flushed spans.
         tel = Telemetry()
         attach_store(tel, os.path.join(stream_dir, str(time.monotonic_ns())))
         return tel

@@ -1,14 +1,15 @@
 """Streaming-telemetry smoke bench (ISSUE 6 CI gate).
 
 Pushes ~10k synthetic request groups (4 spans each) through the full
-streaming pipeline — :class:`SpanShardStore` shard flushing, sketch
-histograms, the live console with a heartbeat JSONL — and asserts
+streaming pipeline — :class:`SpanShardStore` shard flushing, the live
+console with a heartbeat JSONL — and asserts
 
 * **bounded memory**: the tracemalloc peak during the streamed run stays
   under a fixed ceiling that full in-memory span retention of the same
   workload provably exceeds;
-* **complete record**: the shard files reproduce every request in the
-  streaming profiler, and the offline ``profile_shard_dir`` agrees;
+* **complete record**: the critical-path profiler, reading the store's
+  batches, sees every request, and the offline ``profile_shard_dir``
+  agrees;
 * **liveness**: every heartbeat line parses as JSON and reports
   monotonically non-decreasing completion counts.
 
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    profile = profile_requests(tel)  # dispatches to the streaming profiler
+    profile = profile_requests(tel)  # one pass over the store's batches
     offline = profile_shard_dir(shard_dir)
     heartbeats = []
     with open(hb_path) as fh:

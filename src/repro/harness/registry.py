@@ -457,8 +457,8 @@ def observe(
         tel.slo = obs.parse_slo_spec(spec.slo).bind(tel)
     store = None
     if "shards" in paths:
-        # Spans shard to disk and quantile sketches replace histograms;
-        # the default (non-streaming) path is untouched and byte-identical.
+        # Spans shard to disk instead of staying in memory; nothing the
+        # run reports depends on where they live.
         store = obs.attach_store(
             tel,
             paths["shards"],

@@ -157,8 +157,8 @@ def system_factories() -> Dict[str, SystemFactory]:
 class RunResult:
     """Outcome of one run through the request path (either runner).
 
-    Latencies live in a telemetry histogram (a quantile sketch under
-    streaming mode) and everything else is counters, so a
+    Latencies live in a telemetry histogram (a mergeable quantile
+    sketch) and everything else is counters, so a
     production-scale open-loop run (10^5-10^6 requests) never keeps a
     ``RequestResult`` list.  ``results`` (completion order) is populated
     for stream runs and under ``keep_results=True`` (tests, small runs).

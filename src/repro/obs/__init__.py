@@ -23,7 +23,8 @@ whole stack:
   tolerance-spec grammar shared with ``benchmarks/perf_gate.py``;
 * :mod:`repro.obs.stream` — streaming mode (ISSUE 6): the bounded-memory
   span shard store (JSONL shards + watermark batches + head/tail
-  retention) and the single-pass streaming critical-path profiler;
+  retention), whose batches the critical-path profiler reads in one
+  pass, and the offline profile of a shard directory;
 * :mod:`repro.obs.console` — the live run console and heartbeat JSONL
   stream driven by the sampler tick (ISSUE 6);
 * wall-clock self-profiling (ISSUE 9) — the zone-tagged CPU ledger
@@ -55,21 +56,13 @@ from repro.obs.analysis import (
 from repro.obs.console import LiveConsole
 from repro.obs.stream import (
     SpanShardStore,
-    StreamProfiler,
     attach_store,
     iter_disk_batches,
     profile_shard_dir,
-    profile_stream,
     slo_violation_predicate,
 )
 from repro.telemetry.perf import NO_ZONE, ZoneProfiler, ZoneStat
 from repro.telemetry.profiler import DEFAULT_HZ, SamplingProfiler
-from repro.telemetry.sketch import (
-    DEFAULT_RELATIVE_ACCURACY,
-    QuantileSketch,
-    SketchHistogram,
-    merged_quantile,
-)
 from repro.obs.export import (
     metrics_dict,
     series_csv,
@@ -105,6 +98,7 @@ from repro.telemetry import (
     Stopwatch,
     Telemetry,
     TenantUsage,
+    merged_quantile,
 )
 
 import repro.telemetry as _telemetry
@@ -129,7 +123,6 @@ __all__ = [
     "AttributionTable",
     "Counter",
     "DEFAULT_HZ",
-    "DEFAULT_RELATIVE_ACCURACY",
     "DecisionLog",
     "Gauge",
     "Histogram",
@@ -145,20 +138,17 @@ __all__ = [
     "SamplingTelemetry",
     "PlacementDecision",
     "PolicySwitch",
-    "QuantileSketch",
     "RequestBlame",
     "RunProfile",
     "Sampler",
     "SamplingProfiler",
     "Series",
-    "SketchHistogram",
     "SloMonitor",
     "SloTarget",
     "SloViolation",
     "Span",
     "SpanShardStore",
     "Stopwatch",
-    "StreamProfiler",
     "Telemetry",
     "TenantUsage",
     "ZoneProfiler",
@@ -178,7 +168,6 @@ __all__ = [
     "profile_dict",
     "profile_requests",
     "profile_shard_dir",
-    "profile_stream",
     "render_analysis",
     "render_diff",
     "reset",

@@ -13,7 +13,9 @@ Three tools that turn the raw telemetry of PRs 1-2 into answers:
   by construction.  Aggregates fall out per phase, per GPU, per tenant
   and per app, alongside a top-k slowest-request digest and a
   reconciliation of span blame against the engines' busy/bytes
-  accounting.
+  accounting.  Spans reach it in batches — a registry's span list as
+  one, a span shard store's (:mod:`repro.obs.stream`) as flushed — so
+  the profile does not depend on where the spans live.
 * **Run diffing** — :func:`diff_runs` loads two exported metrics
   documents (:func:`repro.obs.export.metrics_dict` JSON, which embeds
   the profiler output) and emits a structured delta: per-phase blame
@@ -31,8 +33,10 @@ embed its output without an import cycle.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.telemetry.instruments import Span, Telemetry
 from repro.obs.spans import (
@@ -160,56 +164,77 @@ def _blame_sweep(
     return phases, unattributed
 
 
-def _descendants(root: Span, by_parent: Dict[int, List[Span]]) -> List[Span]:
-    """All (transitive) children of ``root``, depth-first."""
-    out: List[Span] = []
-    stack = [root.span_id]
-    while stack:
-        for ch in by_parent.get(stack.pop(), ()):
-            out.append(ch)
-            stack.append(ch.span_id)
-    return out
+class _CriticalPathProfiler:
+    """One pass of the critical-path profiler over span batches.
 
+    A batch is ``(spans, watermark)``: every request root whose span id
+    is below the watermark has all of its descendants in this batch or
+    an earlier one.  A request is blamed once the watermark passes its
+    root id, in root-id (= append) order, so every floating-point sum
+    accumulates in the same order however the spans were batched.  An
+    in-memory span list is one batch with an infinite watermark; a
+    shard store supplies its flushed batches, and memory stays bounded
+    by the requests still waiting for the watermark.
+    """
 
-def profile_requests(telemetry: Telemetry) -> RunProfile:
-    """Critical-path blame for every finished request in the registry."""
-    if hasattr(telemetry.spans, "iter_batches"):
-        # Streaming mode (ISSUE 6): the registry's span store is a shard
-        # store — profile it in one bounded-memory pass over its batches
-        # instead of materialising every span.  Local import: stream.py
-        # builds on this module's sweep/blame machinery.
-        from repro.obs.stream import profile_stream
+    def __init__(self) -> None:
+        self._roots: Dict[int, Span] = {}
+        self._kids: Dict[int, List[Span]] = {}
+        self._root_of: Dict[int, int] = {}
+        #: Children seen before any record of their parent (parent id ->
+        #: waiting spans).  Resolved when the parent arrives; leftovers
+        #: at the end are the profiler's orphans.
+        self._unresolved: Dict[int, List[Span]] = {}
+        #: Min-heap of finished root ids awaiting the watermark.
+        self._done: List[int] = []
+        self.profile = RunProfile(
+            requests=[], by_phase={}, by_gpu={}, by_tenant={}, by_app={},
+            unattributed_s=0.0, total_s=0.0, orphan_spans=0, reconciliation={},
+        )
 
-        return profile_stream(telemetry)
-    by_parent: Dict[int, List[Span]] = {}
-    span_ids = set()
-    for s in telemetry.spans:
-        span_ids.add(s.span_id)
-        if s.parent_id is not None:
-            by_parent.setdefault(s.parent_id, []).append(s)
-    orphans = sum(
-        1
-        for s in telemetry.spans
-        if s.parent_id is not None and s.parent_id not in span_ids and s.finished
-    )
+    def feed(self, spans: Iterable[Span], watermark: float) -> None:
+        for sp in spans:
+            self._add(sp)
+        while self._done and self._done[0] < watermark:
+            self._finalize(heapq.heappop(self._done))
 
-    requests: List[RequestBlame] = []
-    by_phase: Dict[str, float] = {}
-    by_gpu: Dict[int, Dict[str, float]] = {}
-    by_tenant: Dict[str, Dict[str, float]] = {}
-    by_app: Dict[str, Dict[str, float]] = {}
-    unattributed = 0.0
-    total = 0.0
+    def _add(self, sp: Span) -> None:
+        sid = sp.span_id
+        pid = sp.parent_id
+        if pid is None:
+            if sp.cat == CAT_REQUEST:
+                self._roots[sid] = sp
+                self._root_of[sid] = sid
+                self._kids[sid] = []
+                if sp.finished:
+                    heapq.heappush(self._done, sid)
+                for ch in self._unresolved.pop(sid, ()):
+                    self._attach(ch, sid)
+            else:
+                # Loose span (engine kernel/copy, outage marker): not on
+                # any request's critical path.  Anything that was waiting
+                # for it is a child of a non-request span, outside every
+                # blame tree.
+                self._unresolved.pop(sid, None)
+            return
+        rid = self._root_of.get(pid)
+        if rid is not None:
+            self._attach(sp, rid)
+        else:
+            self._unresolved.setdefault(pid, []).append(sp)
 
-    def _accumulate(dst: Dict[str, float], blame: RequestBlame) -> None:
-        for cat, v in blame.phases.items():
-            dst[cat] = dst.get(cat, 0.0) + v
-        dst[OVERHEAD] = dst.get(OVERHEAD, 0.0) + blame.unattributed_s
+    def _attach(self, sp: Span, rid: int) -> None:
+        self._root_of[sp.span_id] = rid
+        self._kids[rid].append(sp)
+        for ch in self._unresolved.pop(sp.span_id, ()):
+            self._attach(ch, rid)
 
-    for root in telemetry.spans:
-        if root.cat != CAT_REQUEST or not root.finished:
-            continue
-        children = _descendants(root, by_parent)
+    def _finalize(self, rid: int) -> None:
+        root = self._roots.pop(rid)
+        children = self._kids.pop(rid)
+        del self._root_of[rid]
+        for ch in children:
+            self._root_of.pop(ch.span_id, None)
         phases, unatt = _blame_sweep(root.start, root.end, children)
         args = root.args or {}
         blame = RequestBlame(
@@ -223,41 +248,75 @@ def profile_requests(telemetry: Telemetry) -> RunProfile:
             phases=phases,
             unattributed_s=unatt,
         )
-        requests.append(blame)
+        p = self.profile
+        p.requests.append(blame)
         for cat, v in phases.items():
-            by_phase[cat] = by_phase.get(cat, 0.0) + v
-        unattributed += unatt
-        total += blame.total_s
-        _accumulate(by_gpu.setdefault(blame.gid, {}), blame)
-        _accumulate(by_tenant.setdefault(blame.tenant, {}), blame)
-        _accumulate(by_app.setdefault(blame.app, {}), blame)
+            p.by_phase[cat] = p.by_phase.get(cat, 0.0) + v
+        p.unattributed_s += unatt
+        p.total_s += blame.total_s
+        for dst in (
+            p.by_gpu.setdefault(blame.gid, {}),
+            p.by_tenant.setdefault(blame.tenant, {}),
+            p.by_app.setdefault(blame.app, {}),
+        ):
+            for cat, v in phases.items():
+                dst[cat] = dst.get(cat, 0.0) + v
+            dst[OVERHEAD] = dst.get(OVERHEAD, 0.0) + unatt
 
-    return RunProfile(
-        requests=requests,
-        by_phase=by_phase,
-        by_gpu=by_gpu,
-        by_tenant=by_tenant,
-        by_app=by_app,
-        unattributed_s=unattributed,
-        total_s=total,
-        orphan_spans=orphans,
-        reconciliation=_reconcile(telemetry, by_phase),
-    )
+    def finish(self, telemetry: Optional[Telemetry]) -> RunProfile:
+        self.feed((), math.inf)
+        p = self.profile
+        p.orphan_spans = sum(
+            1 for waiting in self._unresolved.values() for sp in waiting if sp.finished
+        )
+        p.reconciliation = _reconcile(telemetry, p.by_phase)
+        return p
 
 
-def _reconcile(telemetry: Telemetry, by_phase: Dict[str, float]) -> Dict[str, Any]:
+def _profile_batches(
+    batches: Iterable[Tuple[List[Span], float, Optional[float]]],
+    telemetry: Optional[Telemetry],
+) -> RunProfile:
+    """Profile ``(spans, watermark, sim_time)`` batches, in order;
+    ``telemetry`` (or ``None``: zeros) supplies the engine accounting
+    the blame is reconciled against."""
+    prof = _CriticalPathProfiler()
+    for spans, watermark, _t in batches:
+        prof.feed(spans, watermark)
+    return prof.finish(telemetry)
+
+
+def profile_requests(telemetry: Telemetry) -> RunProfile:
+    """Critical-path blame for every finished request in the registry.
+
+    The registry's span list is one batch; a shard store (streaming
+    mode) supplies its own batches, read back in one bounded-memory
+    pass.  The profiler sees the same spans in the same order either
+    way, so where spans live never changes the profile.
+    """
+    spans = telemetry.spans
+    if hasattr(spans, "iter_batches"):
+        return _profile_batches(spans.iter_batches(), telemetry)
+    return _profile_batches([(spans, math.inf, None)], telemetry)
+
+
+def _reconcile(
+    telemetry: Optional[Telemetry], by_phase: Dict[str, float]
+) -> Dict[str, Any]:
     """Span blame vs the engines' independent busy/bytes accounting.
 
     Session-side kernel/copy blame should track the attribution table's
     SM-residency and DMA-occupancy seconds (recorded straight from the
     engine completion records); a large gap means spans went missing.
     The ratio is blame/engine — below 1.0 when device work overlapped
-    (blame charges each instant once, engines charge each op).
+    (blame charges each instant once, engines charge each op).  Without
+    a registry (offline shard analysis) the engine side reads as zero.
     """
     engine_busy = 0.0
     engine_transfer = 0.0
     engine_bytes_gb = 0.0
-    for u in telemetry.attribution.rows():
+    rows = telemetry.attribution.rows() if telemetry is not None else ()
+    for u in rows:
         engine_busy += u.gpu_busy_s
         engine_transfer += u.transfer_s
         engine_bytes_gb += u.bytes_moved_gb

@@ -4,9 +4,10 @@ This package is the *lowest* layer of the codebase (see DESIGN.md §12 and
 ``tools/check_layering.py``): stdlib-only data structures that every other
 layer may import without creating upward dependencies.  It holds
 
-* :mod:`repro.telemetry.instruments` — counters, gauges, log-scale
-  histograms, sim-time spans and the per-run :class:`Telemetry` registry
-  (with the no-op :data:`NULL_TELEMETRY` default);
+* :mod:`repro.telemetry.instruments` — counters, gauges, mergeable
+  relative-error histograms, sim-time spans and the per-run
+  :class:`Telemetry` registry (with the no-op :data:`NULL_TELEMETRY`
+  default);
 * :mod:`repro.telemetry.categories` — the span-category taxonomy shared
   by the session pipeline and the critical-path profiler;
 * :mod:`repro.telemetry.decisions` — the structured scheduler decision
@@ -66,15 +67,10 @@ from repro.telemetry.instruments import (
     Stopwatch,
     Telemetry,
     format_series_name,
+    merged_quantile,
 )
 from repro.telemetry.perf import NO_ZONE, ZoneProfiler, ZoneStat
 from repro.telemetry.profiler import DEFAULT_HZ, SamplingProfiler
-from repro.telemetry.sketch import (
-    DEFAULT_RELATIVE_ACCURACY,
-    QuantileSketch,
-    SketchHistogram,
-    merged_quantile,
-)
 from repro.telemetry.timeseries import NULL_SERIES, Sampler, Series
 
 _default: Telemetry = NULL_TELEMETRY
@@ -110,7 +106,6 @@ __all__ = [
     "CAT_STAGING",
     "Counter",
     "DEFAULT_HZ",
-    "DEFAULT_RELATIVE_ACCURACY",
     "DecisionLog",
     "Gauge",
     "Histogram",
@@ -125,13 +120,11 @@ __all__ = [
     "PHASE_CATEGORY",
     "PlacementDecision",
     "PolicySwitch",
-    "QuantileSketch",
     "REQUEST_PHASES",
     "Sampler",
     "SamplingProfiler",
     "SamplingTelemetry",
     "Series",
-    "SketchHistogram",
     "Span",
     "Stopwatch",
     "Telemetry",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.telemetry.attribution import NULL_ATTRIBUTION, AttributionTable
 from repro.telemetry.decisions import NULL_DECISION_LOG, DecisionLog
@@ -104,16 +104,30 @@ class Gauge:
 
 
 class Histogram:
-    """Log-scale histogram of non-negative samples (latencies, sizes).
+    """Mergeable relative-error histogram of non-negative samples
+    (latencies, sizes): a DDSketch-style quantile sketch.
 
-    Buckets are powers of two of ``base`` — fine enough to separate a
-    microsecond RPC from a millisecond kernel from a second-long queue
-    wait, coarse enough to stay O(60) buckets over 18 decades.
+    Bucket ``i`` holds the samples in ``(BASE * GAMMA**(i-1), BASE *
+    GAMMA**i]`` with ``GAMMA = (1 + a) / (1 - a)`` for the relative
+    accuracy ``a = RELATIVE_ACCURACY``, which guarantees
+
+        |quantile(q) - true q-quantile| <= a * true q-quantile
+
+    for every ``q`` at O(occupied buckets) memory, about 115 buckets per
+    decade of sample range.  Every histogram shares one bucket layout,
+    so histograms merge by adding bucket counts (:meth:`merge`,
+    :func:`merged_quantile`), and buckets are pure functions of the
+    samples, so a seeded run reproduces them exactly.  Samples at or
+    below ``BASE`` count as zeros.
     """
 
     __slots__ = ("name", "labels", "count", "sum", "min", "max", "zeros", "buckets")
 
-    #: Smallest distinguishable sample (everything below counts as zero).
+    #: Relative error bound of every quantile read.
+    RELATIVE_ACCURACY = 0.01
+    #: Ratio of consecutive bucket bounds.
+    GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+    #: Smallest distinguishable sample (everything at or below counts as zero).
     BASE = 1e-9
 
     def __init__(self, name: str, **labels: Any) -> None:
@@ -124,7 +138,7 @@ class Histogram:
         self.min = math.inf
         self.max = -math.inf
         self.zeros = 0
-        #: bucket index -> count; sample v lands in ceil(log2(v / BASE)).
+        #: bucket index -> count; sample v lands in ceil(log_GAMMA(v / BASE)).
         self.buckets: Dict[int, int] = {}
 
     def observe(self, v: float) -> None:
@@ -137,28 +151,33 @@ class Histogram:
         if v <= self.BASE:
             self.zeros += 1
             return
-        idx = int(math.ceil(math.log2(v / self.BASE)))
+        idx = math.ceil(math.log(v / self.BASE) / _LOG_GAMMA)
         self.buckets[idx] = self.buckets.get(idx, 0) + 1
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold ``other`` into this histogram: the result equals one fed
+        both sample streams (the float ``sum`` up to addition order)."""
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.zeros += other.zeros
+        for idx, n in other.buckets.items():
+            self.buckets[idx] = self.buckets.get(idx, 0) + n
+        return self
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
     def bucket_bounds(self) -> List[Tuple[float, int]]:
-        """``(upper_bound_seconds, count)`` per occupied bucket, ascending."""
-        return [(self.BASE * 2.0**i, n) for i, n in sorted(self.buckets.items())]
+        """``(upper_bound, count)`` per occupied bucket, ascending."""
+        return [(self.BASE * self.GAMMA**i, n) for i, n in sorted(self.buckets.items())]
 
     def quantile(self, q: float) -> float:
-        """Approximate q-quantile, linearly interpolated within the
-        covering bucket.
-
-        The pre-ISSUE-6 behaviour returned the bucket's *upper bound*,
-        which overstates quantiles by up to 2x on these octave-wide
-        buckets; interpolating between the bucket's lower and upper
-        bound by the target rank's position inside it is unbiased for
-        uniformly spread samples.  The result is clamped to the exact
-        observed ``[min, max]``.
-        """
+        """q-quantile estimate, within ``RELATIVE_ACCURACY`` of the true
+        sample at rank ``ceil(q * count)`` and clamped to the observed
+        ``[min, max]``."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
         if self.count == 0:
@@ -167,12 +186,14 @@ class Histogram:
         seen = self.zeros
         if seen >= target:
             return 0.0
-        for bound, n in self.bucket_bounds():
-            if seen + n >= target:
-                lower = bound / 2.0  # octave buckets: lower edge = upper / 2
-                v = lower + (bound - lower) * ((target - seen) / n)
+        for idx in sorted(self.buckets):
+            seen += self.buckets[idx]
+            if seen >= target:
+                # 2 * GAMMA^i / (GAMMA + 1) is the point whose worst-case
+                # relative distance to either bucket edge is exactly the
+                # accuracy: the classic DDSketch estimator.
+                v = self.BASE * 2.0 * self.GAMMA**idx / (self.GAMMA + 1.0)
                 return min(max(v, self.min), self.max)
-            seen += n
         return self.max
 
     @property
@@ -181,6 +202,21 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Histogram {self.series} n={self.count} mean={self.mean:.6g}>"
+
+
+_LOG_GAMMA = math.log(Histogram.GAMMA)
+
+
+def merged_quantile(histograms: Iterable[Histogram], q: float) -> float:
+    """Quantile over the union of several histograms (a lossless merge).
+
+    Used by the live console to show a run-wide p99 across per-app
+    series.
+    """
+    merged = Histogram("merged")
+    for h in histograms:
+        merged.merge(h)
+    return merged.quantile(q)
 
 
 class Span:
@@ -281,13 +317,6 @@ class Telemetry:
     enabled = True
     sampling = True
 
-    #: Concrete class behind :meth:`histogram`.  Streaming mode swaps in
-    #: :class:`repro.telemetry.sketch.SketchHistogram` (per instance) so
-    #: every latency histogram becomes a mergeable relative-error sketch
-    #: without touching any callsite; the default stays the exact
-    #: log2-bucket Histogram so non-streaming runs are byte-identical.
-    histogram_cls = Histogram
-
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[type, InstrumentKey], Any] = {}
         #: Hot-path lookup cache keyed by the *un-sorted* label items, so
@@ -367,7 +396,7 @@ class Telemetry:
         return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get(self.histogram_cls, name, labels)
+        return self._get(Histogram, name, labels)
 
     def register(self, instrument) -> None:
         """Adopt an externally created instrument into metric exports."""
@@ -545,4 +574,5 @@ __all__ = [
     "Stopwatch",
     "Telemetry",
     "format_series_name",
+    "merged_quantile",
 ]

@@ -15,7 +15,7 @@ import pytest
 from repro.cluster import build_paper_supernode
 from repro.core.policies import GMin
 from repro.core.systems import CudaRuntimeSystem, StringsSystem
-from repro.obs import Telemetry
+from repro.obs import Telemetry, attach_store
 from repro.traffic import TrafficGenerator, parse_traffic_spec
 from repro.harness.runner import run_open_loop_experiment
 
@@ -109,6 +109,18 @@ def test_seeded_run_is_deterministic():
     assert round(a.goodput_rps, 9) == round(b.goodput_rps, 9)
     c, _ = run(make_gen(seed=8))
     assert (a.offered, round(a.latency_sum_s, 9)) != (c.offered, round(c.latency_sum_s, 9))
+
+
+def test_shards_change_where_spans_go_not_the_answer(tmp_path):
+    spec = "poisson:rate=4,tenants=20,churn=exp:10,duration=15,apps=GA*2+SN"
+    plain, _ = run(make_gen(spec), tel=Telemetry())
+    tel = Telemetry()
+    store = attach_store(tel, str(tmp_path / "shards"))
+    streamed, _ = run(make_gen(spec), tel=tel)
+    store.close()
+    assert streamed.completed == plain.completed
+    for q in (0.5, 0.95, 0.99):
+        assert streamed.latency_quantile(q) == plain.latency_quantile(q)
 
 
 def test_without_churn_nothing_aborts():

@@ -12,10 +12,9 @@ import tracemalloc
 import pytest
 
 from repro.obs import (
+    Histogram,
     LiveConsole,
-    QuantileSketch,
     Sampler,
-    SketchHistogram,
     SpanShardStore,
     Telemetry,
     iter_disk_batches,
@@ -29,6 +28,7 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.obs.slo import SloTarget
+from repro.obs.stream import shard_files
 
 
 def _reset_ids():
@@ -48,7 +48,7 @@ class TestQuantileSketch:
     def test_relative_error_guarantee(self):
         rng = random.Random(7)
         samples = [rng.lognormvariate(0.0, 2.0) for _ in range(5000)]
-        sk = QuantileSketch(relative_accuracy=0.01)
+        sk = Histogram("lat")
         for v in samples:
             sk.observe(v)
         ordered = sorted(samples)
@@ -62,46 +62,29 @@ class TestQuantileSketch:
     def test_deterministic_serialization(self):
         rng = random.Random(11)
         samples = [rng.expovariate(1.0) for _ in range(500)]
-        a, b = QuantileSketch(), QuantileSketch()
+        a, b = Histogram("lat"), Histogram("lat")
         for v in samples:
             a.observe(v)
         for v in samples:
             b.observe(v)
-        # Same seeded sample sequence => byte-identical sketches.
-        assert a.to_bytes() == b.to_bytes()
+        # Same seeded sample sequence => identical sketches.
+        assert (a.buckets, a.count, a.zeros, a.min, a.max, a.sum) == (
+            b.buckets, b.count, b.zeros, b.min, b.max, b.sum
+        )
         # Bucket structure (everything but the float sum) is even
         # order-independent: counts commute, min/max are symmetric.
-        c = QuantileSketch()
+        c = Histogram("lat")
         for v in reversed(samples):
             c.observe(v)
         assert c.buckets == a.buckets
         assert (c.count, c.zeros, c.min, c.max) == (a.count, a.zeros, a.min, a.max)
         assert c.sum == pytest.approx(a.sum)
 
-    def test_bytes_round_trip(self):
-        sk = QuantileSketch()
-        for v in (1e-12, 0.5, 1.0, 2.0, 1e6):
-            sk.observe(v)
-        back = QuantileSketch.from_bytes(sk.to_bytes())
-        assert back.to_bytes() == sk.to_bytes()
-        assert back.count == sk.count
-        assert back.zeros == sk.zeros  # 1e-12 <= min_value counts as zero
-        assert back.quantile(0.5) == sk.quantile(0.5)
-
-    def test_bad_blobs_rejected(self):
-        with pytest.raises(ValueError):
-            QuantileSketch.from_bytes(b"nope")
-        blob = QuantileSketch().to_bytes()
-        with pytest.raises(ValueError):
-            QuantileSketch.from_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(ValueError):
-            QuantileSketch.from_bytes(blob + b"\x00" * 3)
-
     def test_merge_matches_union(self):
         rng = random.Random(3)
         xs = [rng.lognormvariate(0, 1) for _ in range(1000)]
         ys = [rng.lognormvariate(1, 1) for _ in range(700)]
-        a, b, u = QuantileSketch(), QuantileSketch(), QuantileSketch()
+        a, b, u = Histogram("lat"), Histogram("lat"), Histogram("lat")
         for v in xs:
             a.observe(v)
             u.observe(v)
@@ -119,47 +102,36 @@ class TestQuantileSketch:
             true = ordered[max(1, math.ceil(q * len(ordered))) - 1]
             assert abs(a.quantile(q) - true) <= 0.01 * true
 
-    def test_merge_rejects_mismatched_layouts(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(0.01).merge(QuantileSketch(0.02))
-        with pytest.raises(TypeError):
-            QuantileSketch().merge(object())
-
     def test_empty_and_validation(self):
-        sk = QuantileSketch()
+        sk = Histogram("lat")
         assert sk.quantile(0.5) == 0.0
         assert sk.mean == 0.0
-        assert len(sk) == 0
+        assert sk.buckets == {}
         with pytest.raises(ValueError):
             sk.quantile(-0.1)
-        with pytest.raises(ValueError):
-            QuantileSketch(relative_accuracy=1.5)
-        with pytest.raises(ValueError):
-            QuantileSketch(min_value=0.0)
 
 
 class TestSketchHistogram:
     def test_registry_swap_in(self):
         tel = Telemetry()
-        tel.histogram_cls = SketchHistogram
         h = tel.histogram("lat", app="MC")
-        assert isinstance(h, SketchHistogram)
+        assert isinstance(h, Histogram)
         for v in (0.5, 1.0, 2.0):
             h.observe(v)
-        assert h.count == 3 and h.sketch.count == 3
+        assert h.count == 3
         assert h.min == 0.5 and h.max == 2.0
-        # bucket_bounds feeds the exporters exactly like the base class.
+        # bucket_bounds feeds the exporters.
         assert sum(n for _b, n in h.bucket_bounds()) == 3
         assert abs(h.quantile(1.0) - 2.0) <= 0.01 * 2.0
 
     def test_merge_from_and_merged_quantile(self):
-        a = SketchHistogram("lat", shard=0)
-        b = SketchHistogram("lat", shard=1)
+        a = Histogram("lat", shard=0)
+        b = Histogram("lat", shard=1)
         for v in (1.0, 2.0):
             a.observe(v)
         for v in (3.0, 4.0):
             b.observe(v)
-        a.merge_from(b)
+        a.merge(b)
         assert a.count == 4
         assert abs(a.quantile(1.0) - 4.0) <= 0.04
         assert abs(merged_quantile([a, b], 1.0) - 4.0) <= 0.04
@@ -294,6 +266,36 @@ class TestSpanShardStore:
         assert peak < 3 * 1024 * 1024, f"peak telemetry memory {peak} bytes"
         assert store.stats()["spans_flushed"] > 19_000
 
+    def test_offline_analysis_stops_at_the_last_complete_batch(self, tmp_path):
+        # A crashed run leaves records after its last batch trailer.
+        # Their requests may have lost children in the crash, so they
+        # must not be profiled (with all their time blamed on overhead).
+        tel, store = self._wire(tmp_path, retain_slowest=0, reservoir=0)
+        tel.attach(type("E", (), {"now": 0.0})())
+        for i in range(6):
+            t = 10.0 * i
+            root = tel.start_span(
+                "req", cat="request", track="app:A",
+                args={"rid": i, "app": "A", "tenant": "t0", "gid": 0}, start=t,
+            )
+            tel.start_span("kern", cat="kernel", parent=root, start=t + 1).finish(t + 5)
+            tel.start_span("copy", cat="copy", parent=root, start=t + 5).finish(t + 8)
+            root.finish(t + 9)
+            if i == 2:
+                store.flush(t + 9)
+        store.close()
+        (path,) = shard_files(store.directory)
+        with open(path) as fh:
+            lines = fh.readlines()
+        assert json.loads(lines[9])["k"] == "batch"
+        # Keep the first batch plus root 3, its two children and root 4.
+        with open(path, "w") as fh:
+            fh.writelines(lines[:14])
+        profile = profile_shard_dir(store.directory)
+        assert len(profile.requests) == 3
+        assert profile.by_phase == {"kernel": 12.0, "copy": 9.0}
+        assert profile.unattributed_s == 6.0
+
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             SpanShardStore(str(tmp_path / "x"), buffer_limit=0)
@@ -323,7 +325,6 @@ class TestChaosExactness:
             tel.spans = store
             tel._append_span = store.append
             tel.stream = store
-            tel.histogram_cls = SketchHistogram
         obs.install(tel)
         try:
             chaos_run(scale=SCALE_QUICK, telemetry=tel)
@@ -347,10 +348,10 @@ class TestChaosExactness:
         )
         hists = [
             h for h in tel_str.instruments()
-            if isinstance(h, SketchHistogram) and h.name == "request.completion_s"
+            if isinstance(h, Histogram) and h.name == "request.completion_s"
         ]
         assert hists
-        alpha = SketchHistogram.RELATIVE_ACCURACY
+        alpha = Histogram.RELATIVE_ACCURACY
         for q in (0.5, 0.99):
             true = durations[max(1, math.ceil(q * len(durations))) - 1]
             est = merged_quantile(hists, q)
@@ -365,7 +366,6 @@ class TestChaosExactness:
 class TestLiveConsole:
     def _tel_with_data(self):
         tel = Telemetry()
-        tel.histogram_cls = SketchHistogram
         h = tel.histogram("request.completion_s", app="A")
         for v in (0.5, 1.0, 2.0):
             h.observe(v)
