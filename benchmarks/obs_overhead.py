@@ -13,8 +13,8 @@ registry + span shard store, ISSUE 6) — and records per-configuration CPU time
   recorded before the ISSUE 4 fast paths: cached instrument lookups,
   precomputed span metadata, zero-wait early-outs);
 * streaming mode must cost < 45 % over obs-off (previously unguarded,
-  recorded at 39.4 %).  ISSUE 9's zone ledger fingered
-  ``telemetry.flush`` as the worst streaming-only zone — one
+  recorded at 39.4 %).  Self-profiling fingered the shard flush as
+  the worst streaming-only cost — one
   ``json.dumps`` dict encode per span plus two text-mode ``write``
   calls per record — so ``repro.obs.stream`` now hand-rolls the span
   record (byte-identical to the old encoder, ~2x cheaper per span)

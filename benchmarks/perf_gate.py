@@ -5,8 +5,9 @@ application, the chaos fault-injection scenario and a two-node scale-out
 run — each under a full :class:`~repro.obs.Telemetry` registry, and
 records their **sim-time blame vectors** (per-phase critical-path blame,
 request counts, completion quantiles) plus an *advisory* wall-clock
-reading and per-zone CPU-ledger shares (ISSUE 9) into
-``BENCH_perf_gate.json`` at the repo root.
+reading into ``BENCH_perf_gate.json`` at the repo root.  Every scenario
+runs under the stack sampler, so each ``--check`` also proves that a
+self-profiled run reproduces the baseline exactly.
 
 Sim-time metrics are deterministic given the pinned seeds, so the gate
 compares them **exactly** by default (tolerance 0); any drift means the
@@ -173,32 +174,26 @@ def sim_metrics(telemetry) -> Dict[str, float]:
 def run_scenarios(inflate_kernel: float = 0.0) -> Dict[str, Any]:
     """Run every pinned scenario; sim metrics + advisory wall clock each.
 
-    Every scenario runs with a zone profiler attached (ISSUE 9): the
-    per-zone self-time shares land in the baseline as an advisory
-    ``cpu_zones`` scoreboard, and — because the ``sim`` vector is still
-    gated exactly against a baseline recorded the same way — each
-    ``--check`` re-proves that wall-clock profiling leaves simulated
-    results byte-identical.
+    Every scenario runs under a :class:`~repro.obs.SamplingProfiler`.
+    Because the ``sim`` vector is gated exactly, each ``--check``
+    re-proves that self-profiling leaves simulated results
+    byte-identical.  Nothing is recorded from the sampler: a scenario
+    lasts 0.2-1 s, about 15-60 samples, too few for a layer split.
     """
-    from repro.obs import Telemetry, ZoneProfiler
+    from repro.obs import SamplingProfiler, Telemetry
 
     if inflate_kernel:
         _inflate_kernels(inflate_kernel)
     scenarios: Dict[str, Any] = {}
     for name, fn in SCENARIOS.items():
         tel = Telemetry()
-        tel.perf = ZoneProfiler()
         t0 = time.perf_counter()
-        fn(tel)
+        with SamplingProfiler():
+            fn(tel)
         wall = time.perf_counter() - t0
-        ledger = tel.perf.ledger_dict(top=8)
         scenarios[name] = {
             "sim": sim_metrics(tel),
             "wall_s_advisory": round(wall, 3),
-            "cpu_zones": {
-                z["zone"]: round(z["self_share"], 4)
-                for z in ledger["zones"]
-            },
         }
     return scenarios
 

@@ -53,16 +53,6 @@ class GpuAffinityMapper:
     def bind(self, app_name: str, frontend_host: str) -> Binding:
         """Service an intercepted ``cudaSetDevice``: pick a GID and charge
         the DST with this application's expected footprint."""
-        perf = getattr(self.env.telemetry, "perf", None)
-        if perf is None:
-            return self._bind(app_name, frontend_host)
-        perf.push("sched.select")
-        try:
-            return self._bind(app_name, frontend_host)
-        finally:
-            perf.pop()
-
-    def _bind(self, app_name: str, frontend_host: str) -> Binding:
         gid = self.policy.select(self.pool, self.pool.dst, app_name, frontend_host)
 
         # Snapshot the alternatives *before* charging the DST, so the

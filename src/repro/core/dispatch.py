@@ -93,23 +93,13 @@ class DispatchGate:
         self._sleeps.inc()
 
     def set_awake_exactly(self, entries: Iterable[RcbEntry], awake: Iterable[RcbEntry]) -> None:
-        """Make exactly ``awake`` awake among ``entries`` (others sleep).
-
-        Signal delivery is the dispatcher's unit of work, so this is a
-        wall-clock zone site (``sched.dispatch``): policy loops in
-        :mod:`repro.core.policies.device` all funnel through here.
-        """
-        perf = getattr(self.env.telemetry, "perf", None)
-        if perf is not None:
-            perf.push("sched.dispatch")
+        """Make exactly ``awake`` awake among ``entries`` (others sleep)."""
         awake_set = {id(e) for e in awake}
         for e in entries:
             if id(e) in awake_set:
                 self.wake(e)
             else:
                 self.sleep(e)
-        if perf is not None:
-            perf.pop()
 
 
 __all__ = ["DispatchGate"]

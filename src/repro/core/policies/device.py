@@ -158,10 +158,6 @@ class LAS(DevicePolicy):
 
     def dispatcher(self, sched: "GpuScheduler"):
         env, rcb, gate, cfg = sched.env, sched.rcb, sched.gate, sched.config
-        # Hoisted: the zone profiler is attached before env.run(), and the
-        # dispatcher generator only starts executing inside it.  The zone
-        # wraps only the yield-free selection segment (sort + signals).
-        perf = getattr(env.telemetry, "perf", None)
         while True:
             entries = rcb.entries()
             runnable = [e for e in entries if e.runnable]
@@ -169,13 +165,9 @@ class LAS(DevicePolicy):
                 yield rcb.changed_event()  # see TFS: pure block is safe
                 continue
 
-            if perf is not None:
-                perf.push("sched.policy")
             runnable.sort(key=lambda e: (e.cgs, e.registered_at))
             chosen = runnable[: self.WAKE_SLOTS]
             gate.set_awake_exactly(entries, chosen)
-            if perf is not None:
-                perf.pop()
 
             end = env.now + cfg.las_quantum_s
             while any(e.runnable and not e.unregistered for e in chosen):
@@ -201,7 +193,6 @@ class PS(DevicePolicy):
 
     def dispatcher(self, sched: "GpuScheduler"):
         env, rcb, gate, cfg = sched.env, sched.rcb, sched.gate, sched.config
-        perf = getattr(env.telemetry, "perf", None)  # see LAS note
         while True:
             entries = rcb.entries()
             runnable = [e for e in entries if e.runnable]
@@ -209,12 +200,8 @@ class PS(DevicePolicy):
                 yield rcb.changed_event()  # see TFS: pure block is safe
                 continue
 
-            if perf is not None:
-                perf.push("sched.policy")
             picked = self._pick(runnable)
             gate.set_awake_exactly(entries, picked)
-            if perf is not None:
-                perf.pop()
             yield env.any_of(
                 [rcb.changed_event(), env.timeout(cfg.ps_quantum_s)]
             )

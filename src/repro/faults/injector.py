@@ -38,17 +38,10 @@ class FaultInjector:
 
     def _run(self, events: Sequence[FaultEvent]):
         env = self.env
-        perf = getattr(env.telemetry, "perf", None)
         for ev in events:
             if ev.t > env.now:
                 yield env.timeout(ev.t - env.now)
-            if perf is not None:
-                perf.push("faults.inject")
-            try:
-                self._fire(ev)
-            finally:
-                if perf is not None:
-                    perf.pop()
+            self._fire(ev)
             self.fired += 1
 
     def _fire(self, ev: FaultEvent) -> None:

@@ -105,9 +105,8 @@ def _build_parser():
                      type=_checked(float, lambda v: v > 0, "> 0 wall-seconds"),
                      help="live status line, redrawn at most every SECONDS (default 1.0)")
     run.add_argument("--profile", metavar="HZ", nargs="?", const=DEFAULT_HZ,
-                     type=_checked(float, lambda v: v >= 0, ">= 0 Hz"),
-                     help=f"zone CPU ledger plus a stack sampler at HZ (default {DEFAULT_HZ:.0f}; "
-                     "0 = ledger only)")
+                     type=_checked(float, lambda v: v > 0, "> 0 Hz"),
+                     help=f"sample stacks at HZ and bill CPU by layer (default {DEFAULT_HZ:.0f})")
     run.add_argument("--faults", metavar="SPEC", type=_checked(faults.parse_fault_spec),
                      help="fault plan, e.g. 'gpu_fail@30:gid=1:down=20,retries=8'")
     run.add_argument("--link-gbps", metavar="GBPS", type=_checked(float, lambda v: v > 0, "> 0"),
@@ -150,8 +149,8 @@ def prepare_run(args):
     error = args.error
     if args.emit and args.out_dir is None:
         error("--emit needs --out-dir DIR")
-    if args.emit & {"flame", "speedscope"} and not args.profile:
-        error("--emit flame/speedscope requires --profile with a rate > 0 Hz")
+    if "flame" in args.emit and not args.profile:
+        error("--emit flame requires --profile")
     if "diff" in args.emit and args.diff_against is None:
         error("--emit diff requires --diff-against")
     if args.experiment == "all" and args.out_dir is not None:

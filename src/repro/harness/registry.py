@@ -29,7 +29,7 @@ Sweeps are declared, not hand-rolled: :class:`GridExperiment` takes a
 through one ``run_point`` hook.
 
 :func:`observe` is the one observability wiring: it builds a run's
-registry, sampler, SLO monitor, shard store, console and profilers from
+registry, sampler, SLO monitor, shard store, console and profiler from
 :class:`ObsSpec` and writes the ``--emit`` artifacts on exit.  The CLI
 enters it once per run, and a sweep may enter it once per grid point
 (the ``scale`` knee-sweep does), so points never share a registry.
@@ -125,7 +125,6 @@ ARTIFACTS = {
     "shards": "shards",
     "heartbeat": "heartbeat.jsonl",
     "flame": "flame.collapsed",
-    "speedscope": "speedscope.json",
     "diff": "diff.json",
 }
 
@@ -157,7 +156,7 @@ class ObsSpec:
     """What a run observes and emits; the CLI builds it from its flags.
 
     The CLI checks the combinations: ``emit`` needs an ``out_dir``,
-    ``flame``/``speedscope`` a stack-sampling ``profile`` rate and
+    ``flame`` a stack-sampling ``profile`` rate and
     ``diff`` a ``baseline``.
     """
 
@@ -169,7 +168,7 @@ class ObsSpec:
     span_buffer: int = 10_000
     #: Live-console redraw interval in wall seconds (``--live``).
     live: Optional[float] = None
-    #: Zone ledger on; a rate > 0 Hz also samples stacks (``--profile``).
+    #: Stack-sampling rate in Hz (``--profile``); ``None`` is off.
     profile: Optional[float] = None
     analyze: bool = False
     top_k: int = 10
@@ -418,8 +417,8 @@ def observe(
 ) -> Iterator[Observed]:
     """Wire one run's observability from ``ctx.obs``; tear it down on exit.
 
-    Builds the registry (zone ledger, sampler, SLO monitor, shard store,
-    live console, stack sampler) and installs it as the process-wide
+    Builds the registry (sampler, SLO monitor, shard store, live
+    console, stack sampler) and installs it as the process-wide
     default for the block.  On exit it writes each ``--emit`` artifact
     under its :data:`ARTIFACTS` name and prints the run digests.  With no
     observing flag the installed (null) registry is left alone.
@@ -441,10 +440,6 @@ def observe(
         if kind in spec.emit
     }
     tel = obs.Telemetry()
-    if spec.profile is not None:
-        # Hot paths re-read ``tel.perf`` per call, so attaching the zone
-        # ledger before any system is built is all the wiring they need.
-        tel.perf = obs.ZoneProfiler()
     live = spec.live
     if live is None and "heartbeat" in paths:
         live = 1.0  # a heartbeat stream implies the console that writes it
@@ -475,8 +470,8 @@ def observe(
             interval_s=live, heartbeat_path=paths.get("heartbeat")
         )
     profiler = None
-    if spec.profile:
-        profiler = tel.profiler = obs.SamplingProfiler(hz=spec.profile, perf=tel.perf)
+    if spec.profile is not None:
+        profiler = tel.profiler = obs.SamplingProfiler(hz=spec.profile)
         profiler.start()
     previous = obs.current()
     obs.install(tel)
@@ -513,9 +508,6 @@ def observe(
                 tel, path, title=f"repro run report: {title}", comparison=delta
             ),
             "flame": lambda path: profiler.write_collapsed(path),
-            "speedscope": lambda path: profiler.write_speedscope(
-                path, name=f"repro self-profile: {title}"
-            ),
         }
         for kind, write in writers.items():
             if kind in paths:
@@ -524,11 +516,9 @@ def observe(
         if spec.active:
             print()
             print(obs.summary_table(tel))
-        if tel.perf is not None:
+        if profiler is not None:
             print()
-            print(tel.perf.format_ledger(title="CPU ledger (wall-clock zones)"))
-            if profiler is not None:
-                print(f"[profiler: {profiler.summary()}]")
+            print(profiler.format_layers())
         if spec.analyze:
             print()
             print(obs.render_analysis(

@@ -418,19 +418,7 @@ def _run_sessions(
 
     def driver():
         nonlocal outstanding, driver_done
-        # Session generation (arrival-process sampling, churn draws, the
-        # k-way merge) all happens inside next(); bill it to the
-        # ``traffic.gen`` wall-clock zone when self-profiling is on.
-        perf = getattr(tel, "perf", None)
-        pending = iter(sessions)
-        while True:
-            if perf is not None:
-                perf.push("traffic.gen")
-            ts = next(pending, None)
-            if perf is not None:
-                perf.pop()
-            if ts is None:
-                break
+        for ts in sessions:
             if ts.arrival_s > env.now:
                 yield env.timeout(ts.arrival_s - env.now)
             run.sessions += 1

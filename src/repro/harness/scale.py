@@ -106,10 +106,11 @@ def run_point(
         point["slo_max_burn"] = max(
             (row["max_burn_rate"] for row in tel.slo.summary()), default=0.0
         )
-    if tel.perf is not None:
-        # Per-point CPU ledger: where wall time shifts as offered load
-        # climbs past the knee.
-        point["cpu_ledger"] = tel.perf.ledger_dict(top=8)
+    profiler = getattr(tel, "profiler", None)
+    if profiler is not None:
+        # Per-point CPU share by layer: where wall time shifts as offered
+        # load climbs past the knee.
+        point["cpu_layers"] = profiler.layer_shares()
     if res.faults_summary is not None:
         point["faults"] = res.faults_summary
     return point
@@ -346,20 +347,17 @@ class Scale(registry.Experiment):
 
     def analyze(self, doc, ctx: registry.ExperimentContext) -> str:
         lines = ["", format_sweep(doc)]
-        # Per-point CPU ledgers exist exactly when the sweep ran under
+        # Per-point layer shares exist exactly when the sweep ran under
         # --profile; render from the document so cached re-analysis needs
         # no knowledge of the original flags.
         for p in doc["points"]:
-            ledger = p.get("cpu_ledger") or {}
-            zones = ledger.get("zones") or []
-            if zones:
+            layers = p.get("cpu_layers") or {}
+            if layers:
                 top = ", ".join(
-                    f"{z['zone']} {z['self_share']:.0%}" for z in zones[:3]
+                    f"{layer} {share:.0%}"
+                    for layer, share in sorted(layers.items(), key=lambda kv: -kv[1])[:3]
                 )
-                lines.append(
-                    f"  [{p['multiplier']:g}x] CPU "
-                    f"{ledger['total_self_s']:.2f}s profiled — {top}"
-                )
+                lines.append(f"  [{p['multiplier']:g}x] CPU by layer: {top}")
         return "\n".join(lines)
 
 

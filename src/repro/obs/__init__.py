@@ -27,11 +27,11 @@ whole stack:
   pass, and the offline profile of a shard directory;
 * :mod:`repro.obs.console` — the live run console and heartbeat JSONL
   stream driven by the sampler tick (ISSUE 6);
-* wall-clock self-profiling (ISSUE 9) — the zone-tagged CPU ledger
-  (:class:`~repro.telemetry.perf.ZoneProfiler`) and the off-thread
-  sampling flamegraph profiler
-  (:class:`~repro.telemetry.profiler.SamplingProfiler`), both living in
-  the bottom-layer :mod:`repro.telemetry` package and re-exported here.
+* wall-clock self-profiling — the off-thread stack sampler
+  (:class:`~repro.telemetry.profiler.SamplingProfiler`), which bills
+  each sample to the layer of its innermost ``repro`` frame; it lives
+  in the bottom-layer :mod:`repro.telemetry` package and is re-exported
+  here.
 
 The **default registry** is a process-wide slot consulted by
 :class:`~repro.sim.core.Environment` when no registry is passed
@@ -61,7 +61,6 @@ from repro.obs.stream import (
     profile_shard_dir,
     slo_violation_predicate,
 )
-from repro.telemetry.perf import NO_ZONE, ZoneProfiler, ZoneStat
 from repro.telemetry.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.obs.export import (
     metrics_dict,
@@ -128,7 +127,6 @@ __all__ = [
     "Histogram",
     "LiveConsole",
     "LogEvent",
-    "NO_ZONE",
     "NULL_ATTRIBUTION",
     "NULL_SERIES",
     "NULL_TELEMETRY",
@@ -151,8 +149,6 @@ __all__ = [
     "Stopwatch",
     "Telemetry",
     "TenantUsage",
-    "ZoneProfiler",
-    "ZoneStat",
     "analyze",
     "attach_store",
     "check_tolerances",

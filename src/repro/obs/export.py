@@ -248,11 +248,11 @@ def metrics_dict(telemetry: Telemetry) -> Dict[str, Any]:
         ],
         "slo": telemetry.slo.summary() if telemetry.slo is not None else [],
         "runs": telemetry.run_id,
-        # Wall-clock CPU ledger (ISSUE 9), present only when the run was
+        # Sampled CPU share per layer, present only when the run was
         # self-profiled; values are host-speed-dependent and advisory.
-        "perf": (
-            telemetry.perf.ledger_dict()
-            if getattr(telemetry, "perf", None) is not None
+        "cpu_layers": (
+            telemetry.profiler.layer_shares()
+            if getattr(telemetry, "profiler", None) is not None
             else None
         ),
         # Critical-path blame vectors (ISSUE 4), so an exported metrics
@@ -498,16 +498,13 @@ def summary_table(telemetry: Telemetry) -> str:
             f"flushed to {st['shards']} shard(s) in {st['directory']} "
             f"({st['retained_groups']} groups retained in memory)"
         )
-    perf = getattr(telemetry, "perf", None)
-    if perf is not None and perf.zones:
-        led = perf.ledger()
+    profiler = getattr(telemetry, "profiler", None)
+    if profiler is not None and profiler.sample_count:
         top = ", ".join(
-            f"{st.name} {st.self_s:.3f}s" for st in led[:4]
+            f"{layer} {share:.0%}"
+            for layer, share in list(profiler.layer_shares().items())[:4]
         )
-        lines.append(
-            f"CPU ledger: {perf.total_self_s():.3f}s profiled across "
-            f"{len(led)} zones (top: {top})"
-        )
+        lines.append(f"CPU by layer: {top} ({profiler.sample_count} samples)")
     return "\n".join(lines)
 
 

@@ -440,58 +440,34 @@ def _comparison_section(delta: Dict) -> List[str]:
 
 
 def _performance_section(telemetry: Telemetry) -> List[str]:
-    """The "Performance" card body (ISSUE 9): wall-clock zone ledger,
-    sampling-flame summary and the sim-speed sparkline.  Everything here
-    is host-speed-dependent self-telemetry — advisory, never part of any
-    sim-result comparison."""
-    perf = getattr(telemetry, "perf", None)
+    """The "Performance" card body: the sampled CPU share per layer and
+    the sim-speed sparkline.  Everything here is host-speed-dependent
+    self-telemetry — advisory, never part of any sim-result comparison."""
     profiler = getattr(telemetry, "profiler", None)
     parts: List[str] = []
 
-    if perf is not None and perf.zones:
-        total = perf.total_self_s()
+    if profiler is not None and profiler.sample_count:
         parts.append(
-            f'<p class="note">CPU ledger: {total:.3f}s of wall clock '
-            f"profiled across {len(perf.zones)} zones (self time; nested "
-            f"zones carve their time out of their parent).</p>"
+            f'<p class="note">CPU by layer: {profiler.sample_count} stack '
+            f"samples at {profiler.achieved_hz:.0f} Hz achieved (target "
+            f"{profiler.hz:.0f} Hz), each billed to the repro package of its "
+            f"innermost repro frame. Full stacks in flame.collapsed "
+            f"(--emit flame).</p>"
         )
         parts.append(
-            "<table><thead><tr><th>zone</th><th>calls</th>"
-            "<th>total s</th><th>self s</th><th>self share</th>"
-            "</tr></thead><tbody>"
+            "<table><thead><tr><th>layer</th><th>samples</th>"
+            "<th>share</th></tr></thead><tbody>"
         )
-        for st in perf.ledger():
-            share = st.self_s / total if total else 0.0
+        for layer, n in profiler.layer_counts().items():
             parts.append(
-                f'<tr><td class="lbl">{_esc(st.name)}</td><td>{st.calls}</td>'
-                f"<td>{st.total_s:.4f}</td><td>{st.self_s:.4f}</td>"
-                f"<td>{share * 100:.1f}%</td></tr>"
+                f'<tr><td class="lbl">{_esc(layer)}</td><td>{n}</td>'
+                f"<td>{n / profiler.sample_count * 100:.1f}%</td></tr>"
             )
         parts.append("</tbody></table>")
     else:
         parts.append(
-            '<p class="note">No CPU ledger recorded (run with --profile).</p>'
+            '<p class="note">No CPU profile recorded (run with --profile).</p>'
         )
-
-    if profiler is not None and profiler.sample_count:
-        zone_counts = profiler.zone_counts()
-        total_samples = sum(zone_counts.values())
-        parts.append("<h3>Sampling flamegraph summary</h3>")
-        parts.append(
-            f'<p class="note">{_esc(profiler.summary())}. Full stacks in '
-            f"the collapsed/speedscope exports (--emit flame / "
-            f"--emit speedscope).</p>"
-        )
-        parts.append(
-            "<table><thead><tr><th>zone tag</th><th>samples</th>"
-            "<th>share</th></tr></thead><tbody>"
-        )
-        for zone, n in list(zone_counts.items())[:12]:
-            parts.append(
-                f'<tr><td class="lbl">{_esc(zone)}</td><td>{n}</td>'
-                f"<td>{n / total_samples * 100:.1f}%</td></tr>"
-            )
-        parts.append("</tbody></table>")
 
     speed_runs = _series_by_run(telemetry, "sim.speedup")
     if speed_runs:
@@ -576,11 +552,10 @@ def html_report(
     parts.extend(_slo_section(telemetry))
     parts.append("</div>")
 
-    # Self-profiling card (ISSUE 9): only rendered when the run carried
-    # a zone ledger, a stack sampler or sim-speed series.
+    # Self-profiling card: only rendered when the run carried a stack
+    # sampler or sim-speed series.
     if (
-        getattr(telemetry, "perf", None) is not None
-        or getattr(telemetry, "profiler", None) is not None
+        getattr(telemetry, "profiler", None) is not None
         or _series_by_run(telemetry, "sim.speedup")
     ):
         parts.append('<div class="card"><h2>Performance</h2>')

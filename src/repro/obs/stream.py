@@ -87,7 +87,7 @@ def _jfloat(v) -> str:
 
 def _span_record(sp: Span) -> str:
     # Hand-rolled serialization of the fixed 11-field record.  This was
-    # the worst streaming hot spot in the wall-clock zone ledger (a
+    # the worst streaming hot spot when profiled (a
     # ``json.dumps`` dict encode per span, ~40% of streaming overhead in
     # BENCH_obs_overhead.json); building the line directly is ~3x
     # cheaper.  The output is byte-identical to
@@ -154,16 +154,25 @@ def iter_disk_batches(
     Only one batch's spans are materialised at a time, so a reader's
     memory stays bounded by the flush batch size regardless of run
     length.  Records after the last trailer (a crashed run) come last,
-    with watermark ``-inf`` and no sim time.
+    with watermark ``-inf`` and no sim time.  A crash mid-write can tear
+    only the final line of the last shard (shards rotate after whole
+    batches); that line is dropped, and any other undecodable line
+    raises.
     """
     pending: List[Span] = []
-    for path in shard_files(directory):
+    paths = shard_files(directory)
+    for path in paths:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
+            for raw in fh:
+                line = raw.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    if path != paths[-1] or raw.endswith("\n"):
+                        raise
+                    break
                 if rec.get("k") == "batch":
                     yield pending, rec["w"], rec.get("t")
                     pending = []
@@ -247,10 +256,6 @@ class SpanShardStore:
         #: Snapshot of groups retained in memory at close (inspection).
         self.retained: Dict[int, _Group] = {}
 
-        #: Optional wall-clock zone profiler (ISSUE 9); the harness
-        #: points this at the run's ZoneProfiler so flush cost shows up
-        #: as the ``telemetry.flush`` zone in the CPU ledger.
-        self.perf = None
         self.total_spans = 0
         self.flushed_spans = 0
         self.flushes = 0
@@ -288,9 +293,6 @@ class SpanShardStore:
         """
         if self._closed:
             return
-        perf = self.perf
-        if perf is not None:
-            perf.push("telemetry.flush")
         if now is not None:
             self._last_t = now
 
@@ -336,8 +338,6 @@ class SpanShardStore:
 
         if flush_groups or flush_loose:
             self._write_batch(flush_groups, flush_loose)
-        if perf is not None:
-            perf.pop()
 
     def close(self, now: Optional[float] = None) -> None:
         """Final flush: stream every completed group (retained included)
@@ -506,18 +506,12 @@ def attach_store(
     The canonical ``--emit shards`` hookup, previously copy-pasted by the
     harness and every benchmark: spans shard to ``directory`` and the
     sampler tick flushes the store.  Only where spans live changes;
-    everything the run reports stays the same.  If the registry
-    already carries a wall-clock :class:`~repro.telemetry.perf.ZoneProfiler`
-    (``telemetry.perf``), flush cost is charged to its
-    ``telemetry.flush`` zone.
+    everything the run reports stays the same.
     """
     store = SpanShardStore(directory, buffer_limit=buffer_limit, violation=violation)
     telemetry.spans = store
     telemetry._append_span = store.append
     telemetry.stream = store
-    perf = getattr(telemetry, "perf", None)
-    if perf is not None:
-        store.perf = perf
     return store
 
 

@@ -130,11 +130,6 @@ class BackendIssueLoop:
             op_span = None
             if enabled and owner is not None:
                 op_span = owner._obs_op_span(tel, item)
-            # Re-read per item: the zone profiler is attached to the
-            # registry after system construction but before env.run().
-            perf = tel.perf
-            if perf is not None:
-                perf.push("backend.issue")
             try:
                 completion = item.make()
             except Exception as exc:  # noqa: BLE001 - dead worker / backend
@@ -149,9 +144,6 @@ class BackendIssueLoop:
                 if not item.done.triggered:
                     item.done.fail(exc)
                 continue
-            finally:
-                if perf is not None:
-                    perf.pop()
             if completion is None:
                 if op_span is not None:
                     op_span.finish(env.now)

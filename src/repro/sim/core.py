@@ -160,23 +160,7 @@ class Environment:
             * a number — run until the clock reaches that time;
             * an :class:`Event` — run until the event is processed, and
               return its value (re-raising its failure, if any).
-
-        When a wall-clock zone profiler is attached (``telemetry.perf``,
-        ISSUE 9) the whole loop runs inside the root ``sim.kernel`` zone,
-        so the kernel's *self* time is pure event dispatch: every
-        instrumented subsystem (issue loop, policies, sampler, ...) opens
-        a nested zone that carves its own time out of the root.
         """
-        perf = getattr(self.telemetry, "perf", None)
-        if perf is None:
-            return self._run(until)
-        perf.push("sim.kernel")
-        try:
-            return self._run(until)
-        finally:
-            perf.pop()
-
-    def _run(self, until: Union[None, float, Event] = None) -> Any:
         stop: Optional[Event] = None
         if until is not None:
             if isinstance(until, Event):

@@ -16,8 +16,10 @@ layer may import without creating upward dependencies.  It holds
   accounting;
 * :mod:`repro.telemetry.timeseries` — ring-buffered series + the
   sim-time :class:`Sampler`;
-* :mod:`repro.telemetry.perf` / :mod:`repro.telemetry.profiler` — the
-  wall-clock zone ledger and the background stack sampler (ISSUE 9).
+* :mod:`repro.telemetry.profiler` — the background stack sampler, the
+  simulator's self-profiler, billed by layer;
+* :mod:`repro.telemetry.perf` — nesting-aware zone timing for the
+  external layer tracer in ``perfbench/``.
 
 The high-level observability package :mod:`repro.obs` (exporters,
 reports, SLOs, the critical-path profiler) builds *on top of* this kernel
@@ -69,7 +71,6 @@ from repro.telemetry.instruments import (
     format_series_name,
     merged_quantile,
 )
-from repro.telemetry.perf import NO_ZONE, ZoneProfiler, ZoneStat
 from repro.telemetry.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.telemetry.timeseries import NULL_SERIES, Sampler, Series
 
@@ -110,7 +111,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LogEvent",
-    "NO_ZONE",
     "NULL_ATTRIBUTION",
     "NULL_SERIES",
     "NULL_TELEMETRY",
@@ -129,8 +129,6 @@ __all__ = [
     "Stopwatch",
     "Telemetry",
     "TenantUsage",
-    "ZoneProfiler",
-    "ZoneStat",
     "current",
     "format_series_name",
     "install",

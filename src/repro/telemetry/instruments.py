@@ -339,11 +339,6 @@ class Telemetry:
         self.sampler = None
         #: Optional SLO monitor, attached by the harness (ISSUE 2).
         self.slo = None
-        #: Optional wall-clock :class:`~repro.telemetry.perf.ZoneProfiler`
-        #: (ISSUE 9).  ``None`` means self-profiling is off; hot paths
-        #: hoist this attribute and guard with ``is not None`` so the
-        #: un-profiled cost is one pointer compare per zone site.
-        self.perf = None
         #: Latest SFT snapshot per run label, refreshed by the sampler.
         self.sft_state: Dict[str, Any] = {}
         self.run_id = 0

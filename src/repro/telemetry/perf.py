@@ -1,46 +1,26 @@
-"""Wall-clock zone profiling: the simulator's own CPU ledger (ISSUE 9).
+"""Wall-clock zone timing: nesting-aware self/total time per named zone.
 
-The critical-path profiler (ISSUE 4) blames every *simulated* second of
-request latency; this module blames every *wall-clock* second the
-simulator itself burns.  A :class:`ZoneProfiler` is a nesting-aware zone
-stack over :func:`time.perf_counter`: hot paths mark the subsystem they
-are entering (``perf.push("backend.issue")`` ... ``perf.pop()``), and the
-profiler accumulates per-zone call counts, **total** time (zone on the
-stack) and **self** time (zone on *top* of the stack — total minus the
-time spent in nested zones).  The resulting ledger answers ROADMAP item
-2's question directly: of one run's wall clock, how much went to the DES
-kernel proper, the backend issue loop, scheduler policy work, telemetry
-sampling/flushing, traffic generation and fault injection.
+A :class:`ZoneProfiler` is a zone stack over :func:`time.perf_counter`:
+a caller marks the code it is entering (``perf.push("sim")`` ...
+``perf.pop()``), and the profiler accumulates per-zone call counts,
+**total** time (zone on the stack) and **self** time (zone on *top* of
+the stack: total minus the time spent in nested zones).  Summing
+``self_s`` over all zones therefore reconstructs the wall clock of the
+outermost zone.
 
-Design constraints:
-
-* **zero cost when off** — the profiler hangs off the registry as
-  ``telemetry.perf`` (``None`` by default); every instrumented hot path
-  hoists the attribute once and guards with a single ``is not None``
-  check, so un-profiled runs pay one pointer compare per zone site;
-* **never perturbs the simulation** — zones read the host clock only;
-  no sim RNG, no sim time, no event queue.  Sim results are
-  byte-identical with profiling on, which ``benchmarks/perf_gate.py``
-  pins by running its exactly-compared scenarios with a zone profiler
-  attached;
-* single-threaded mutation — only the simulation thread pushes/pops;
-  the background :class:`~repro.telemetry.profiler.SamplingProfiler`
-  does a racy read of :attr:`ZoneProfiler.current` (a single attribute
-  load of an immutable string), which at worst tags a sample with the
-  neighbouring zone (DESIGN.md §15).
+Nothing in the simulator pushes zones: a run's own CPU split comes from
+the stack sampler (:mod:`repro.telemetry.profiler`), billed by layer.
+This class serves the external layer tracer in ``perfbench/layers.py``,
+which wraps each layer's entry points in zones from outside the program.
 
 Zones must nest strictly (pop what you pushed); re-entering a zone name
-recursively would double-count its total time, so wiring sites use
-distinct names per layer.
+recursively would double-count its total time.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional
-
-#: Zone label reported for samples taken outside every zone.
-NO_ZONE = "(outside zones)"
+from typing import Dict, List
 
 
 class ZoneStat:
@@ -61,50 +41,24 @@ class ZoneStat:
         )
 
 
-class _ZoneContext:
-    """Context-manager sugar over push/pop for non-hot callsites."""
-
-    __slots__ = ("_perf", "_name")
-
-    def __init__(self, perf: "ZoneProfiler", name: str) -> None:
-        self._perf = perf
-        self._name = name
-
-    def __enter__(self) -> "ZoneProfiler":
-        self._perf.push(self._name)
-        return self._perf
-
-    def __exit__(self, *exc) -> None:
-        self._perf.pop()
-
-
 class ZoneProfiler:
     """Nesting-aware per-zone wall-clock accounting.
 
-    ``push``/``pop`` are the hot-path API (two :func:`perf_counter`
-    reads per zone visit); :meth:`zone` wraps them as a context manager.
+    ``push``/``pop`` cost two :func:`perf_counter` reads per zone visit.
     A zone's *self* time is its total minus the time its nested zones
-    were on top — entering a child implicitly pauses the parent's self
-    clock, so summing ``self_s`` over all zones reconstructs the wall
-    clock of the outermost zone (the ledger-reconciliation invariant
-    tests pin against ``harness.wall_s``).
+    were on top: entering a child implicitly pauses the parent's self
+    clock.
     """
 
-    __slots__ = ("zones", "current", "_stack")
+    __slots__ = ("zones", "_stack")
 
     def __init__(self) -> None:
         self.zones: Dict[str, ZoneStat] = {}
-        #: Name of the zone currently on top of the stack ("" outside
-        #: every zone).  Read racily by the sampling profiler thread.
-        self.current = ""
         # Stack frames are mutable [name, entered_at, child_seconds].
         self._stack: List[list] = []
 
-    # -- hot path ------------------------------------------------------------
-
     def push(self, name: str) -> None:
         self._stack.append([name, perf_counter(), 0.0])
-        self.current = name
 
     def pop(self) -> float:
         """Leave the current zone; returns its elapsed total seconds."""
@@ -118,81 +72,8 @@ class ZoneProfiler:
         st.total_s += dur
         st.self_s += dur - child_s
         if self._stack:
-            top = self._stack[-1]
-            top[2] += dur
-            self.current = top[0]
-        else:
-            self.current = ""
+            self._stack[-1][2] += dur
         return dur
 
-    def zone(self, name: str) -> _ZoneContext:
-        """``with perf.zone("sim.kernel"): ...``"""
-        return _ZoneContext(self, name)
 
-    # -- views ---------------------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
-    def total_self_s(self) -> float:
-        """Sum of self times over every zone — the profiled wall clock."""
-        return sum(st.self_s for st in self.zones.values())
-
-    def ledger(self) -> List[ZoneStat]:
-        """Zone stats, most expensive self-time first (ties by name)."""
-        return sorted(
-            self.zones.values(), key=lambda st: (-st.self_s, st.name)
-        )
-
-    def ledger_dict(self, top: Optional[int] = None) -> Dict[str, Any]:
-        """JSON-ready ledger: per-zone seconds plus self-time shares."""
-        rows = self.ledger()
-        if top is not None:
-            rows = rows[:top]
-        total = self.total_self_s()
-        return {
-            "total_self_s": round(total, 6),
-            "zones": [
-                {
-                    "zone": st.name,
-                    "calls": st.calls,
-                    "total_s": round(st.total_s, 6),
-                    "self_s": round(st.self_s, 6),
-                    "self_share": round(st.self_s / total, 4) if total else 0.0,
-                }
-                for st in rows
-            ],
-        }
-
-    def format_ledger(self, title: str = "CPU ledger (wall-clock zones)") -> str:
-        """Aligned plain-text ledger table for the console."""
-        total = self.total_self_s()
-        lines = [f"== {title} ".ljust(70, "=")]
-        lines.append(
-            "zone".ljust(24) + "calls".rjust(10) + "total_s".rjust(11)
-            + "self_s".rjust(11) + "share".rjust(8)
-        )
-        for st in self.ledger():
-            share = st.self_s / total if total else 0.0
-            lines.append(
-                st.name.ljust(24) + f"{st.calls:10d}" + f"{st.total_s:11.4f}"
-                + f"{st.self_s:11.4f}" + f"{share:8.1%}"
-            )
-        if self.zones:
-            lines.append(
-                "profiled total".ljust(24) + "".rjust(10) + "".rjust(11)
-                + f"{total:11.4f}" + f"{1.0:8.1%}"
-            )
-        else:
-            lines.append("(no zones recorded)")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<ZoneProfiler zones={len(self.zones)} "
-            f"depth={len(self._stack)} total={self.total_self_s():.4f}s>"
-        )
-
-
-__all__ = ["NO_ZONE", "ZoneProfiler", "ZoneStat"]
+__all__ = ["ZoneProfiler", "ZoneStat"]

@@ -1,39 +1,41 @@
-"""Background sampling profiler with zone-tagged stacks (ISSUE 9).
+"""Background stack sampler, billed by layer: the simulator's self-profiler.
 
-A :class:`SamplingProfiler` is a daemon thread that wakes at a fixed
+The critical-path profiler (:mod:`repro.obs.analysis`) blames every
+*simulated* second of request latency; this module blames every
+*wall-clock* second the simulator itself burns.  A
+:class:`SamplingProfiler` is a daemon thread that wakes at a fixed
 rate, snapshots the *target* thread's Python stack via
-:func:`sys._current_frames`, tags the sample with the zone currently on
-top of the attached :class:`~repro.telemetry.perf.ZoneProfiler` stack,
-and accumulates ``(zone, stack) -> count``.  Two export formats:
+:func:`sys._current_frames`, and bills the sample to a **layer**: the
+``repro`` subpackage (``sim``, ``simgpu``, ``core``, ..., the ranks of
+``tools/check_layering.py``) whose directory holds the code file of
+the innermost frame that lies in one (:func:`layer_of`).  A stack with
+no such frame is billed to :data:`OUTSIDE`.  Library and builtin
+time thus lands on the layer that called it, and a process body
+defined outside ``repro`` (a test's, say) on the kernel frame that
+resumed it.  Nothing in the simulator reads the profiler: which code
+belongs to which layer is this one path rule, not hooks on hot paths.
 
-* **collapsed-stack text** (`Brendan Gregg's flamegraph input`):
-  ``zone;frame;frame;... count`` per line, root-first — pipe through
-  ``flamegraph.pl`` or load into speedscope/inferno directly;
-* **speedscope JSON** (``"sampled"`` profile type, unit ``none`` — one
-  weight per captured sample) for interactive flamegraph browsing at
-  https://www.speedscope.app.
+Exports: the per-layer shares (:meth:`layer_shares`, ``cpu_layers`` in
+``metrics.json``), an aligned console table (:meth:`format_layers`)
+and collapsed-stack text (Brendan Gregg's flamegraph input):
+``layer;frame;frame;... count`` per line, root-first, which
+``flamegraph.pl``, inferno and speedscope.app all open as is.
 
 Thread-safety argument (DESIGN.md §15): the profiler thread only ever
-*reads* — the interpreter's frame objects under the GIL (the same
+*reads* the interpreter's frame objects under the GIL (the same
 contract ``py-spy``-style wall profilers rely on for in-process
-sampling via :func:`sys._current_frames`) and the zone profiler's
-``current`` attribute (a single load of an immutable string the sim
-thread overwrites atomically).  It never touches sim RNG, sim time or
-the event queue, so a profiled run's *simulated* results are
-byte-identical to an unprofiled one; the worst race outcome is one
-sample attributed to the zone the sim thread was about to enter/leave.
+sampling via :func:`sys._current_frames`).  It never touches sim RNG,
+sim time or the event queue, so a profiled run's *simulated* results
+are byte-identical to an unprofiled one.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
-
-from .perf import NO_ZONE, ZoneProfiler
+from typing import Dict, List, Optional, Tuple
 
 #: Default sampling rate for ``--profile`` with no argument.  A prime
 #: rate avoids phase-locking with periodic work (sampler ticks, flush
@@ -43,16 +45,33 @@ DEFAULT_HZ = 97.0
 #: Stack capture depth cap; deeper frames are folded into a marker.
 MAX_FRAMES = 80
 
+#: Layer billed for a stack with no frame in a ``repro`` subpackage.
+OUTSIDE = "(outside repro)"
+
 _TRUNCATED = "(truncated)"
 
+#: ``<...>/repro/``: a code file below it, one directory down, is layer code.
+_PACKAGE_PREFIX = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ""
+)
 
-def _frame_label(frame) -> str:
-    code = frame.f_code
+
+def layer_of(filename: str) -> Optional[str]:
+    """The layer defining code file ``filename``: the ``repro``
+    subpackage directory it lies in, or None outside every subpackage
+    (``repro/__init__.py``, the stdlib, tests)."""
+    if not filename.startswith(_PACKAGE_PREFIX):
+        return None
+    layer, sep, _rest = filename[len(_PACKAGE_PREFIX):].partition(os.sep)
+    return layer if sep else None
+
+
+def _frame_label(code) -> str:
     return f"{code.co_name} ({os.path.basename(code.co_filename)}:{code.co_firstlineno})"
 
 
 class SamplingProfiler:
-    """Off-thread stack sampler; samples are tagged with the live zone.
+    """Off-thread stack sampler; each sample is billed to one layer.
 
     Parameters
     ----------
@@ -60,24 +79,14 @@ class SamplingProfiler:
         Target sampling rate.  Actual rate is bounded by timer
         resolution and GIL handoff; :attr:`sample_count` and
         :attr:`elapsed_s` record what was achieved.
-    perf:
-        Optional :class:`ZoneProfiler` whose ``current`` zone label tags
-        each sample (``NO_ZONE`` when the stack is empty or no zone
-        profiler is attached).
     """
 
-    def __init__(
-        self,
-        hz: float = DEFAULT_HZ,
-        perf: Optional[ZoneProfiler] = None,
-        max_frames: int = MAX_FRAMES,
-    ) -> None:
+    def __init__(self, hz: float = DEFAULT_HZ, max_frames: int = MAX_FRAMES) -> None:
         if hz <= 0:
             raise ValueError(f"sampling rate must be positive, got {hz!r}")
         self.hz = float(hz)
-        self.perf = perf
         self.max_frames = int(max_frames)
-        # (zone, root-first stack tuple) -> number of samples.
+        # (layer, root-first stack tuple) -> number of samples.
         self.samples: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         self.sample_count = 0
         self.elapsed_s = 0.0
@@ -129,96 +138,66 @@ class SamplingProfiler:
         frame = sys._current_frames().get(self._target_tid)
         if frame is None:
             return
+        layer = None
         stack: List[str] = []
-        depth = 0
         while frame is not None:
-            if depth >= self.max_frames:
+            if len(stack) >= self.max_frames:
                 stack.append(_TRUNCATED)
                 break
-            stack.append(_frame_label(frame))
+            code = frame.f_code
+            if layer is None:
+                layer = layer_of(code.co_filename)
+            stack.append(_frame_label(code))
             frame = frame.f_back
-            depth += 1
         stack.reverse()  # root-first
-        perf = self.perf
-        zone = (perf.current if perf is not None else "") or NO_ZONE
-        key = (zone, tuple(stack))
+        key = (layer or OUTSIDE, tuple(stack))
         self.samples[key] = self.samples.get(key, 0) + 1
         self.sample_count += 1
 
-    # -- exports -------------------------------------------------------------
+    # -- exports (read after stop()) -----------------------------------------
 
-    def zone_counts(self) -> Dict[str, int]:
-        """Samples per zone tag, descending."""
+    @property
+    def achieved_hz(self) -> float:
+        return self.sample_count / self.elapsed_s if self.elapsed_s > 0 else 0.0
+
+    def layer_counts(self) -> Dict[str, int]:
+        """Samples per layer, most first (ties by name)."""
         out: Dict[str, int] = {}
-        for (zone, _stack), n in self.samples.items():
-            out[zone] = out.get(zone, 0) + n
+        for (layer, _stack), n in self.samples.items():
+            out[layer] = out.get(layer, 0) + n
         return dict(sorted(out.items(), key=lambda kv: (-kv[1], kv[0])))
 
-    def collapsed(self) -> str:
-        """Collapsed-stack text: ``zone;frame;... count`` per line."""
-        lines = []
-        for (zone, stack), n in sorted(self.samples.items()):
-            lines.append(";".join((zone,) + stack) + f" {n}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def speedscope(self, name: str = "repro self-profile") -> Dict[str, Any]:
-        """Speedscope file-format document (``sampled`` profile type)."""
-        frames: List[Dict[str, str]] = []
-        index: Dict[str, int] = {}
-        samples: List[List[int]] = []
-        weights: List[int] = []
-        for (zone, stack), n in sorted(self.samples.items()):
-            idxs = []
-            for label in (zone,) + stack:
-                i = index.get(label)
-                if i is None:
-                    i = index[label] = len(frames)
-                    frames.append({"name": label})
-                idxs.append(i)
-            samples.append(idxs)
-            weights.append(n)
+    def layer_shares(self) -> Dict[str, float]:
+        """Share of samples per layer, rounded to 4 places (``cpu_layers``)."""
         return {
-            "$schema": "https://www.speedscope.app/file-format-schema.json",
-            "name": name,
-            "exporter": "repro.telemetry.profiler",
-            "shared": {"frames": frames},
-            "profiles": [
-                {
-                    "type": "sampled",
-                    "name": name,
-                    "unit": "none",
-                    "startValue": 0,
-                    "endValue": sum(weights),
-                    "samples": samples,
-                    "weights": weights,
-                }
-            ],
+            layer: round(n / self.sample_count, 4)
+            for layer, n in self.layer_counts().items()
         }
+
+    def format_layers(self) -> str:
+        """Aligned plain-text per-layer table for the console."""
+        lines = ["== CPU by layer (stack samples) ".ljust(70, "=")]
+        lines.append("layer".ljust(24) + "samples".rjust(10) + "share".rjust(8))
+        for layer, n in self.layer_counts().items():
+            lines.append(
+                layer.ljust(24) + f"{n:10d}" + f"{n / self.sample_count:8.1%}"
+            )
+        lines.append(
+            f"{self.sample_count} samples at {self.achieved_hz:.0f} Hz achieved "
+            f"(target {self.hz:.0f} Hz)"
+        )
+        return "\n".join(lines)
+
+    def collapsed(self) -> str:
+        """Collapsed-stack text: ``layer;frame;... count`` per line."""
+        lines = []
+        for (layer, stack), n in sorted(self.samples.items()):
+            lines.append(";".join((layer,) + stack) + f" {n}")
+        return "\n".join(lines) + ("\n" if lines else "")
 
     def write_collapsed(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.collapsed())
 
-    def write_speedscope(self, path: str, name: str = "repro self-profile") -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.speedscope(name=name), fh, separators=(",", ":"))
-            fh.write("\n")
 
-    def summary(self, top: int = 5) -> str:
-        """One-paragraph digest: achieved rate + hottest zone tags."""
-        rate = self.sample_count / self.elapsed_s if self.elapsed_s > 0 else 0.0
-        parts = [
-            f"{self.sample_count} samples"
-            + (f" @ {rate:.0f} Hz achieved (target {self.hz:.0f} Hz)" if rate else "")
-        ]
-        zc = self.zone_counts()
-        total = sum(zc.values())
-        if total:
-            hot = ", ".join(
-                f"{zone} {n / total:.0%}" for zone, n in list(zc.items())[:top]
-            )
-            parts.append(f"hottest zones: {hot}")
-        return "; ".join(parts)
-
-
-__all__ = ["DEFAULT_HZ", "MAX_FRAMES", "SamplingProfiler"]
+__all__ = ["DEFAULT_HZ", "MAX_FRAMES", "OUTSIDE", "SamplingProfiler", "layer_of"]

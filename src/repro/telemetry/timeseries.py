@@ -266,10 +266,7 @@ class Sampler:
         console_tick = getattr(getattr(tel, "console", None), "tick", None)
 
         # Sim-speed self-telemetry (ISSUE 9): wall-clock deltas between
-        # ticks turn the kernel's event counter into rates.  The zone
-        # profiler (if any) bills the whole tick body to
-        # ``telemetry.sampler`` so sampling cost shows in the CPU ledger.
-        perf = getattr(tel, "perf", None)
+        # ticks turn the kernel's event counter into rates.
         speedup_s = ts("sim.speedup")
         events_ps_s = ts("sim.events_ps")
         qdepth_s = ts("sim.queue_depth")
@@ -284,8 +281,6 @@ class Sampler:
         last = env.now
         while True:
             yield env.timeout(self.interval_s)
-            if perf is not None:
-                perf.push("telemetry.sampler")
             now = env.now
             dt = now - last
             last = now
@@ -340,8 +335,6 @@ class Sampler:
                 stream_flush(now)
             if console_tick is not None:
                 console_tick(now, tel)
-            if perf is not None:
-                perf.pop()
 
 
 __all__ = ["NULL_SERIES", "Sampler", "Series"]

@@ -322,52 +322,38 @@ def test_cli_scale_sweep_runs_and_writes_artifacts(capsys, tmp_path):
     assert written == set(listed)
 
 
-# -- wall-clock self-profiling (ISSUE 9) ------------------------------------
+# -- wall-clock self-profiling -----------------------------------------------
 
 
 def test_cli_profile_flag_validation(capsys, tmp_path):
-    with pytest.raises(SystemExit):
-        main(["fig1", "--profile", "-5"])
-    assert "--profile" in capsys.readouterr().err
+    for rate in ("-5", "0"):
+        with pytest.raises(SystemExit):
+            main(["fig1", "--profile", rate])
+        assert "--profile" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["fig1", "--out-dir", str(tmp_path), "--emit", "flame"])
     assert "requires --profile" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main(["fig1", "--profile", "0", "--out-dir", str(tmp_path), "--emit", "speedscope"])
-    assert "requires --profile" in capsys.readouterr().err
+        main(["fig1", "--profile", "--out-dir", str(tmp_path), "--emit", "speedscope"])
+    assert "unknown artifact speedscope" in capsys.readouterr().err
 
 
 def test_cli_profile_round_trip_writes_artifacts(capsys, tmp_path):
     rc = main([
         "fig2", "--scale", "quick", "--profile", "200",
-        "--out-dir", str(tmp_path), "--emit", "flame,speedscope",
+        "--out-dir", str(tmp_path), "--emit", "flame",
     ])
     assert rc == 0
-    flame = tmp_path / "flame.collapsed"
-    speedscope = tmp_path / "speedscope.json"
     out = capsys.readouterr().out
-    assert "CPU ledger (wall-clock zones)" in out
-    assert "sim.kernel" in out
-    # Collapsed stacks: "zone;frame;... count" lines.
-    for line in flame.read_text().splitlines():
+    assert "== CPU by layer (stack samples) " in out
+    table = out.split("== CPU by layer (stack samples) ", 1)[1]
+    assert "Hz achieved" in table
+    # Collapsed stacks: "layer;frame;... count" lines, each root a row
+    # of the printed layer table.
+    for line in (tmp_path / "flame.collapsed").read_text().splitlines():
         head, count = line.rsplit(" ", 1)
         assert int(count) >= 1 and ";" in head
-    doc = json.loads(speedscope.read_text())
-    assert doc["$schema"] == "https://www.speedscope.app/file-format-schema.json"
-    prof = doc["profiles"][0]
-    assert prof["type"] == "sampled"
-    assert prof["endValue"] == sum(prof["weights"])
-    n_frames = len(doc["shared"]["frames"])
-    assert all(0 <= i < n_frames for s in prof["samples"] for i in s)
-
-
-def test_cli_profile_zones_only_skips_sampler(capsys):
-    # hz=0: the zone ledger runs but no sampler thread is started.
-    assert main(["fig2", "--scale", "quick", "--profile", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "CPU ledger (wall-clock zones)" in out
-    assert "sim.kernel" in out
-    assert "[profiler:" not in out
+        assert f"\n{head.split(';')[0]} " in table
 
 
 def test_cli_profile_rejected_for_scale_flame_outputs(capsys, tmp_path):
@@ -375,22 +361,21 @@ def test_cli_profile_rejected_for_scale_flame_outputs(capsys, tmp_path):
         main(["scale", "--profile", "--flame-out", str(tmp_path / "f.txt")])
     assert "--flame-out" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main(["scale", "--profile", "0", "--out-dir", str(tmp_path), "--emit", "flame"])
+        main(["scale", "--out-dir", str(tmp_path), "--emit", "flame"])
     assert "requires --profile" in capsys.readouterr().err
 
 
 def test_cli_scale_profile_records_per_point_ledgers(capsys, tmp_path):
     rc = main([
-        "scale", "-O", f"traffic={TINY_TRAFFIC}", "-O", "loads=1", "--profile", "0",
+        "scale", "-O", f"traffic={TINY_TRAFFIC}", "-O", "loads=1", "--profile",
         "--out-dir", str(tmp_path),
     ])
     assert rc == 0
     doc = json.loads((tmp_path / "results.json").read_text())
     for p in doc["points"]:
-        ledger = p["cpu_ledger"]
-        assert ledger["total_self_s"] > 0
-        zones = {z["zone"] for z in ledger["zones"]}
-        assert "sim.kernel" in zones
+        shares = p["cpu_layers"]
+        assert shares
+        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-3)
 
 
 # -- experiment registry (ISSUE 10) ------------------------------------------

@@ -266,10 +266,9 @@ class TestSpanShardStore:
         assert peak < 3 * 1024 * 1024, f"peak telemetry memory {peak} bytes"
         assert store.stats()["spans_flushed"] > 19_000
 
-    def test_offline_analysis_stops_at_the_last_complete_batch(self, tmp_path):
-        # A crashed run leaves records after its last batch trailer.
-        # Their requests may have lost children in the crash, so they
-        # must not be profiled (with all their time blamed on overhead).
+    def _six_request_shard(self, tmp_path):
+        """One shard of 6 requests (4 s kernel, 3 s copy, 2 s overhead
+        each), a batch trailer after the third; (directory, path, lines)."""
         tel, store = self._wire(tmp_path, retain_slowest=0, reservoir=0)
         tel.attach(type("E", (), {"now": 0.0})())
         for i in range(6):
@@ -287,14 +286,39 @@ class TestSpanShardStore:
         (path,) = shard_files(store.directory)
         with open(path) as fh:
             lines = fh.readlines()
+        return store.directory, path, lines
+
+    def test_offline_analysis_stops_at_the_last_complete_batch(self, tmp_path):
+        # A crashed run leaves records after its last batch trailer.
+        # Their requests may have lost children in the crash, so they
+        # must not be profiled (with all their time blamed on overhead).
+        directory, path, lines = self._six_request_shard(tmp_path)
         assert json.loads(lines[9])["k"] == "batch"
         # Keep the first batch plus root 3, its two children and root 4.
         with open(path, "w") as fh:
             fh.writelines(lines[:14])
-        profile = profile_shard_dir(store.directory)
+        profile = profile_shard_dir(directory)
         assert len(profile.requests) == 3
         assert profile.by_phase == {"kernel": 12.0, "copy": 9.0}
         assert profile.unattributed_s == 6.0
+
+    def test_offline_analysis_drops_a_torn_final_record(self, tmp_path):
+        # A kill mid-write leaves a partial last line (no newline); the
+        # offline profile still covers the run up to its last batch.
+        directory, path, lines = self._six_request_shard(tmp_path)
+        torn = lines[11][: len(lines[11]) // 2]
+        # Keep the first batch and its trailer, root 3 and half a record.
+        with open(path, "w") as fh:
+            fh.writelines(lines[:11] + [torn])
+        profile = profile_shard_dir(directory)
+        assert len(profile.requests) == 3
+        assert profile.by_phase == {"kernel": 12.0, "copy": 9.0}
+        assert profile.unattributed_s == 6.0
+        # A torn line anywhere but the end is corruption, not a crash.
+        with open(path, "w") as fh:
+            fh.writelines(lines[:11] + [torn + "\n"] + lines[12:14])
+        with pytest.raises(json.JSONDecodeError):
+            profile_shard_dir(directory)
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):

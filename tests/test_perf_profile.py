@@ -1,24 +1,25 @@
-"""Wall-clock self-profiling (ISSUE 9): zone ledger, sampling profiler,
-byte-determinism of profiled runs, and the streaming record encoder."""
+"""Wall-clock self-profiling: zone timing, the layer-billed stack
+sampler, byte-determinism of profiled runs, and the streaming record
+encoder."""
 
 import json
+import os
 import threading
 import time
 
 import pytest
 
+import repro
+import repro.core.policies.device
+import repro.sim.core
 from repro.apps import app_by_short
 from repro.cluster import build_small_server
 from repro.harness.runner import run_stream_experiment, system_factories
-from repro.obs import (
-    DEFAULT_HZ,
-    NO_ZONE,
-    SamplingProfiler,
-    Telemetry,
-    ZoneProfiler,
-    metrics_dict,
-)
+from repro.obs import DEFAULT_HZ, SamplingProfiler, Telemetry, metrics_dict
+from repro.sim.core import Environment
 from repro.sim.rng import RandomStream
+from repro.telemetry.perf import ZoneProfiler
+from repro.telemetry.profiler import OUTSIDE, layer_of
 from repro.workloads import exponential_stream
 
 
@@ -58,49 +59,41 @@ class TestZoneProfiler:
         zp.pop()
         wall = time.perf_counter() - t0
         # Sum of self times over all zones == wall time inside "a".
-        assert zp.total_self_s() == pytest.approx(zp.zones["a"].total_s)
-        assert zp.total_self_s() <= wall
+        total_self = sum(st.self_s for st in zp.zones.values())
+        assert total_self == pytest.approx(zp.zones["a"].total_s)
+        assert total_self <= wall
         assert zp.zones["b"].calls == 2
 
-    def test_zone_context_manager_pops_on_exception(self):
-        zp = ZoneProfiler()
-        with pytest.raises(RuntimeError):
-            with zp.zone("z"):
-                assert zp.current == "z"
-                raise RuntimeError("boom")
-        assert zp.depth == 0
-        assert zp.current == ""
-        assert zp.zones["z"].calls == 1
-
-    def test_current_tracks_top_of_stack(self):
-        zp = ZoneProfiler()
-        assert zp.current == ""
-        zp.push("a")
-        zp.push("b")
-        assert zp.current == "b"
-        zp.pop()
-        assert zp.current == "a"
-        zp.pop()
-        assert zp.current == ""
-
-    def test_ledger_dict_shares_sum_to_one(self):
-        zp = ZoneProfiler()
-        with zp.zone("x"):
-            time.sleep(0.005)
-        with zp.zone("y"):
-            time.sleep(0.005)
-        doc = zp.ledger_dict()
-        assert doc["total_self_s"] > 0
-        assert sum(z["self_share"] for z in doc["zones"]) == pytest.approx(1.0)
-        assert {z["zone"] for z in doc["zones"]} == {"x", "y"}
-
-    def test_format_ledger_empty(self):
-        assert "(no zones recorded)" in ZoneProfiler().format_ledger()
-
 
 # ---------------------------------------------------------------------------
-# SamplingProfiler: collapsed stacks + speedscope document
+# SamplingProfiler: layer billing + collapsed stacks
 # ---------------------------------------------------------------------------
+
+
+def _busy_thread(seconds):
+    """Start a thread that spins for ``seconds`` outside any repro code."""
+    started = threading.Event()
+
+    def spin():
+        started.set()
+        deadline = time.perf_counter() + seconds
+        while time.perf_counter() < deadline:
+            sum(range(200))
+
+    thread = threading.Thread(target=spin)
+    thread.start()
+    assert started.wait(timeout=5.0)
+    return thread
+
+
+def _sample_busy_thread(prof, seconds=0.1):
+    """Sample a separate busy thread, so the profiler's own stop() (run
+    on this thread) is never in a sample."""
+    thread = _busy_thread(seconds)
+    prof.start(target_thread_id=thread.ident)
+    thread.join(timeout=5.0)
+    prof.stop()
+    assert not thread.is_alive()
 
 
 class TestSamplingProfiler:
@@ -110,35 +103,43 @@ class TestSamplingProfiler:
         with pytest.raises(ValueError):
             SamplingProfiler(hz=-1)
 
-    def test_samples_tagged_with_live_zone(self):
-        zp = ZoneProfiler()
-        prof = SamplingProfiler(hz=500, perf=zp)
-        with prof:
-            with zp.zone("hot.zone"):
-                deadline = time.perf_counter() + 0.2
-                while time.perf_counter() < deadline:
-                    sum(range(200))
+    def test_layer_is_the_repro_subpackage_of_the_code_file(self):
+        assert layer_of(repro.sim.core.__file__) == "sim"
+        assert layer_of(repro.core.policies.device.__file__) == "core"
+        assert layer_of(repro.__file__) is None
+        assert layer_of(os.__file__) is None
+
+    def test_samples_billed_to_the_kernel_that_resumes_outside_code(self):
+        # Process bodies defined here are not repro code: every sample
+        # inside them is billed to the sim frame that resumed them.
+        env = Environment()
+
+        def body():
+            while True:
+                for _ in range(50):
+                    sum(range(100))
+                yield env.timeout(1.0)
+
+        for _ in range(50):
+            env.process(body())
+        deadline = time.perf_counter() + 0.3
+        with SamplingProfiler(hz=500) as prof:
+            while time.perf_counter() < deadline:
+                env.run(until=env.now + 1.0)
+        counts = prof.layer_counts()
         assert prof.sample_count > 0
-        zones = prof.zone_counts()
-        assert "hot.zone" in zones
-        # The busy loop dominates the sampled window.
-        assert zones["hot.zone"] >= prof.sample_count * 0.5
+        assert counts.get("sim", 0) >= 0.9 * prof.sample_count, counts
+        assert sum(prof.layer_shares().values()) == pytest.approx(1.0, abs=1e-3)
 
     def test_untagged_samples_fall_back_to_no_zone(self):
         prof = SamplingProfiler(hz=500)
-        with prof:
-            deadline = time.perf_counter() + 0.1
-            while time.perf_counter() < deadline:
-                sum(range(200))
+        _sample_busy_thread(prof)
         assert prof.sample_count > 0
-        assert set(prof.zone_counts()) == {NO_ZONE}
+        assert set(prof.layer_counts()) == {OUTSIDE}
 
     def test_collapsed_format(self):
         prof = SamplingProfiler(hz=500)
-        with prof:
-            deadline = time.perf_counter() + 0.1
-            while time.perf_counter() < deadline:
-                sum(range(200))
+        _sample_busy_thread(prof)
         text = prof.collapsed()
         assert text.endswith("\n")
         total = 0
@@ -146,26 +147,9 @@ class TestSamplingProfiler:
             head, count = line.rsplit(" ", 1)
             assert int(count) >= 1
             frames = head.split(";")
-            assert frames[0] == NO_ZONE
+            assert frames[0] == OUTSIDE
             total += int(count)
         assert total == prof.sample_count
-
-    def test_speedscope_document_is_well_formed(self):
-        prof = SamplingProfiler(hz=500)
-        with prof:
-            deadline = time.perf_counter() + 0.1
-            while time.perf_counter() < deadline:
-                sum(range(200))
-        doc = prof.speedscope(name="unit")
-        assert doc["$schema"] == "https://www.speedscope.app/file-format-schema.json"
-        p = doc["profiles"][0]
-        assert p["type"] == "sampled" and p["unit"] == "none"
-        assert len(p["samples"]) == len(p["weights"])
-        assert p["endValue"] == sum(p["weights"]) == prof.sample_count
-        n = len(doc["shared"]["frames"])
-        assert all(0 <= i < n for s in p["samples"] for i in s)
-        # Round-trips through JSON.
-        assert json.loads(json.dumps(doc)) == doc
 
     def test_start_twice_raises_stop_is_idempotent(self):
         prof = SamplingProfiler(hz=DEFAULT_HZ)
@@ -254,7 +238,7 @@ class TestSpanRecordEncoder:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: byte-determinism and ledger reconciliation
+# End-to-end: byte-determinism of profiled runs
 # ---------------------------------------------------------------------------
 
 
@@ -262,10 +246,8 @@ def _small_run(telemetry, profile_hz=None):
     """One seeded two-stream experiment; optionally self-profiled."""
     profiler = None
     if profile_hz is not None:
-        telemetry.perf = ZoneProfiler()
-        if profile_hz > 0:
-            profiler = SamplingProfiler(hz=profile_hz, perf=telemetry.perf)
-            profiler.start()
+        profiler = telemetry.profiler = SamplingProfiler(hz=profile_hz)
+        profiler.start()
     try:
         run = run_stream_experiment(
             system_factories()["GMin-Strings"],
@@ -309,30 +291,18 @@ class TestProfiledRunDeterminism:
 
         assert _sim_fingerprint(tel_on, run_on) == _sim_fingerprint(tel_off, run_off)
         # And profiling actually happened on the profiled side.
-        assert tel_on.perf.zones["sim.kernel"].calls >= 1
-        assert "backend.issue" in tel_on.perf.zones
+        assert tel_on.profiler.sample_count >= 1
 
     def test_metrics_dict_carries_perf_section_only_when_profiled(self):
         tel = Telemetry()
-        _small_run(tel, profile_hz=0)
-        doc = metrics_dict(tel)
-        assert doc["perf"]["total_self_s"] > 0
-        assert any(z["zone"] == "sim.kernel" for z in doc["perf"]["zones"])
+        _small_run(tel, profile_hz=400)
+        shares = metrics_dict(tel)["cpu_layers"]
+        assert shares
+        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-3)
 
         tel_plain = Telemetry()
         _small_run(tel_plain, profile_hz=None)
-        assert metrics_dict(tel_plain)["perf"] is None
-
-    def test_ledger_reconciles_with_harness_wall_clock(self):
-        tel = Telemetry()
-        _small_run(tel, profile_hz=0)
-        wall = tel.histogram("harness.wall_s", label="perf-det").sum
-        profiled = tel.perf.total_self_s()
-        assert wall > 0
-        # The zone stack brackets env.run, which is what harness.wall_s
-        # times; allow generous slack for interpreter noise around it.
-        assert profiled <= wall * 1.05
-        assert profiled >= wall * 0.5
+        assert metrics_dict(tel_plain)["cpu_layers"] is None
 
 
 class TestKernelHealthGauges:
