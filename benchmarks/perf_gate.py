@@ -1,8 +1,9 @@
 """Performance-regression gate over pinned canonical scenarios (ISSUE 4).
 
-Runs three seeded scenarios — a fig9-sized GMin-Strings run over every
-application, the chaos fault-injection scenario and a two-node scale-out
-run — each under a full :class:`~repro.obs.Telemetry` registry, and
+Runs six seeded scenarios — a fig9-sized GMin-Strings run over every
+application, the chaos fault-injection scenario, a two-node scale-out
+run, and Fig. 12's pair C under each gated device policy (LAS, PS, TFS)
+— each under a full :class:`~repro.obs.Telemetry` registry, and
 records their **sim-time blame vectors** (per-phase critical-path blame,
 request counts, completion quantiles) plus an *advisory* wall-clock
 reading into ``BENCH_perf_gate.json`` at the repo root.  Every scenario
@@ -131,10 +132,41 @@ def _scenario_scaleout(telemetry):
     )
 
 
+def _scenario_pair_c(policy):
+    """Fig. 12 pair C under one device-gated policy on the paper supernode.
+
+    Besides the blame vector, the scenario records the dispatch gate's
+    wake and sleep signal counts, so a dispatcher change that moves a
+    single signal fails the gate."""
+
+    def scenario(telemetry):
+        from repro.cluster import build_paper_supernode
+        from repro.harness.pairsweep import pair_streams
+        from repro.harness.runner import SCALE_QUICK, run_stream_experiment, system_factories
+
+        run_stream_experiment(
+            system_factories()[policy],
+            pair_streams("C", SCALE_QUICK, split_nodes=True, tag="fig12"),
+            build_paper_supernode,
+            label=f"perf-gate:{policy}",
+            telemetry=telemetry,
+        )
+        signals = {"dispatch_wakes": 0.0, "dispatch_sleeps": 0.0}
+        for inst in telemetry.instruments():
+            if inst.name in ("dispatch.wakes", "dispatch.sleeps"):
+                signals[inst.name.replace(".", "_")] += inst.value
+        return signals
+
+    return scenario
+
+
 SCENARIOS = {
     "fig9_gmin_strings": _scenario_fig9,
     "chaos": _scenario_chaos,
     "scaleout_2node": _scenario_scaleout,
+    "fig12c_las_strings": _scenario_pair_c("GWtMin+LAS-Strings"),
+    "fig12c_ps_strings": _scenario_pair_c("GWtMin+PS-Strings"),
+    "fig12c_tfs_strings": _scenario_pair_c("TFS-Strings"),
 }
 
 
@@ -174,6 +206,9 @@ def sim_metrics(telemetry) -> Dict[str, float]:
 def run_scenarios(inflate_kernel: float = 0.0) -> Dict[str, Any]:
     """Run every pinned scenario; sim metrics + advisory wall clock each.
 
+    A scenario may return a dict of extra exact metrics (the pair-C
+    scenarios return dispatch signal counts); it joins the ``sim`` vector.
+
     Every scenario runs under a :class:`~repro.obs.SamplingProfiler`.
     Because the ``sim`` vector is gated exactly, each ``--check``
     re-proves that self-profiling leaves simulated results
@@ -189,10 +224,10 @@ def run_scenarios(inflate_kernel: float = 0.0) -> Dict[str, Any]:
         tel = Telemetry()
         t0 = time.perf_counter()
         with SamplingProfiler():
-            fn(tel)
+            extra = fn(tel) or {}
         wall = time.perf_counter() - t0
         scenarios[name] = {
-            "sim": sim_metrics(tel),
+            "sim": {**sim_metrics(tel), **extra},
             "wall_s_advisory": round(wall, 3),
         }
     return scenarios

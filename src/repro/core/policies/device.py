@@ -31,8 +31,10 @@ one device:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List
+from operator import is_not
+from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.sim import Environment, Event
 from repro.core.rcb import PHASE_PRIORITY, GpuPhase, RcbEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,10 +131,13 @@ class TFS(DevicePolicy):
                         break
                     if entry.runnable:
                         # Event-driven slice: wake at slice end or when the
-                        # tenant goes idle.
-                        yield env.any_of(
-                            [env.timeout(remaining), entry.idle_event(env)]
-                        )
+                        # tenant goes idle.  If the slice timed out, the
+                        # idle waiter is withdrawn rather than left to fire
+                        # later as a no-op.
+                        idle = env.event()
+                        entry.watch_idle(idle)
+                        yield env.any_of([env.timeout(remaining), idle])
+                        entry.withdraw_idle(idle)
                         continue
                     # Momentarily idle (e.g. a CPU gap between GPU
                     # episodes): hold the slice for a short grace, then
@@ -158,6 +163,8 @@ class LAS(DevicePolicy):
 
     def dispatcher(self, sched: "GpuScheduler"):
         env, rcb, gate, cfg = sched.env, sched.rcb, sched.gate, sched.config
+        wait = _QuantumWait(env)
+        chosen: List[RcbEntry] = []
         while True:
             entries = rcb.entries()
             runnable = [e for e in entries if e.runnable]
@@ -165,22 +172,114 @@ class LAS(DevicePolicy):
                 yield rcb.changed_event()  # see TFS: pure block is safe
                 continue
 
-            runnable.sort(key=lambda e: (e.cgs, e.registered_at))
-            chosen = runnable[: self.WAKE_SLOTS]
-            gate.set_awake_exactly(entries, chosen)
+            if len(runnable) > self.WAKE_SLOTS:
+                runnable.sort(key=lambda e: (e.cgs, e.registered_at))
+                del runnable[self.WAKE_SLOTS:]
+            # Identity, not ==: RcbEntry is a dataclass comparing every field.
+            if len(runnable) != len(chosen) or any(map(is_not, runnable, chosen)):
+                wait.withdraw(chosen)
+                chosen = runnable
+                # Only on a new pick: an unchanged pick is already awake
+                # and every other entry asleep, so no signal would move.
+                gate.set_awake_exactly(entries, chosen)
 
+            # Every chosen entry is runnable here, so the first wait arms.
             end = env.now + cfg.las_quantum_s
-            while any(e.runnable and not e.unregistered for e in chosen):
-                remaining = end - env.now
-                if remaining < _MIN_WAIT_S:
+            remaining = end - env.now
+            while remaining >= _MIN_WAIT_S:
+                yield wait.arm(chosen, remaining)
+                if not any(e.runnable for e in chosen):
                     break
-                idle_all = env.all_of([e.idle_event(env) for e in chosen])
-                yield env.any_of([env.timeout(remaining), idle_all])
+                remaining = end - env.now
 
             # Close the epoch for everyone: non-served entries decay toward
             # zero attained service and rise in priority.
             for e in rcb.entries():
                 e.roll_epoch(cfg.las_k)
+
+
+class _IdleWatch(Event):
+    """An idle waiter the LAS dispatcher keeps armed across its waits.
+
+    ``tag`` is the relay of the wait the watch currently serves.
+    """
+
+    __slots__ = ("tag",)
+
+    def __init__(self, env: Environment, callback) -> None:
+        super().__init__(env)
+        self.callbacks.append(callback)
+        self.tag: Optional[Event] = None
+
+
+def _fire_relay(event: Event) -> None:
+    """Callback of a wait's last-but-one hop: trigger the relay it carries,
+    unless the wait's other path already has."""
+    relay = event.value
+    if not relay.triggered:
+        relay.succeed()
+
+
+class _QuantumWait:
+    """How the LAS dispatcher waits out one quantum (see DESIGN.md §2.2).
+
+    A wait ends at the quantum's timeout or once every chosen entry that
+    was runnable when it was armed has gone idle, whichever comes first.
+    The dispatcher blocks on one *relay* event per wait.  The hop counts
+    below fix where each decision lands in same-time FIFO order, so they
+    are part of the simulated output:
+
+    * timeout path, 2 hops: timeout -> relay;
+    * idle path, 3 hops: last idle watch -> hop event -> relay.
+
+    Each busy chosen entry carries one :class:`_IdleWatch`, kept armed
+    across waits while the entry stays chosen and busy, and re-tagged
+    with the current relay; a watch firing with an older tag is ignored.
+    A new pick withdraws the old pick's watches.
+    """
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        #: The event the dispatcher is blocked on (its tag for watches).
+        self.relay: Optional[Event] = None
+        #: Busy entries of the current wait that have not gone idle yet.
+        self.outstanding = 0
+        #: The watch of each entry of the current pick, by stream id.
+        self.watches: Dict[int, _IdleWatch] = {}
+
+    def arm(self, chosen: List[RcbEntry], remaining: float) -> Event:
+        """Start a wait of at most ``remaining`` seconds; returns its relay."""
+        env, watches = self.env, self.watches
+        self.relay = relay = Event(env)
+        self.outstanding = 0
+        for e in chosen:
+            if not e.runnable:
+                continue  # an idle entry cannot decide when the wait ends
+            self.outstanding += 1
+            watch = watches.get(e.stream_id)
+            if watch is None or watch.triggered:
+                watch = watches[e.stream_id] = _IdleWatch(env, self._on_idle)
+                e.watch_idle(watch)
+            watch.tag = relay
+        env.timeout(remaining, relay).callbacks.append(_fire_relay)
+        return relay
+
+    def withdraw(self, pick: List[RcbEntry]) -> None:
+        """Disarm the watches of a pick that is being replaced."""
+        for e in pick:
+            watch = self.watches.pop(e.stream_id, None)
+            if watch is not None:
+                e.withdraw_idle(watch)
+
+    def _on_idle(self, watch: _IdleWatch) -> None:
+        relay = self.relay
+        if watch.tag is not relay or relay.triggered:
+            return  # an older wait's watch, or the timeout already won
+        self.outstanding -= 1
+        if not self.outstanding:
+            hop = Event(self.env)
+            hop.callbacks.append(_fire_relay)
+            hop.succeed(relay)
 
 
 class PS(DevicePolicy):

@@ -58,7 +58,8 @@ class RcbEntry:
     phase: GpuPhase = GpuPhase.DFL
 
     #: Events armed by dispatchers waiting for this entry to go idle
-    #: (fired by :meth:`complete` / unregistration).
+    #: (fired by :meth:`complete` / unregistration).  Only
+    #: :meth:`watch_idle` and :meth:`withdraw_idle` change it.
     _idle_waiters: List[Event] = field(default_factory=list)
     #: Back-reference set by the owning RCB (for change notifications).
     _rcb: Optional["RequestControlBlock"] = None
@@ -113,17 +114,21 @@ class RcbEntry:
             # Phase/demand changed: let event-driven dispatchers re-evaluate.
             self._rcb.notify_demand()
 
-    def idle_event(self, env: Environment) -> Event:
-        """An event fired the next time this entry stops being runnable
-        (dispatchers use it to end a slice early, work-conservingly)."""
-        ev = Event(env)
-        if not self.runnable:
-            ev.succeed()
-        else:
-            self._idle_waiters.append(ev)
-        return ev
+    def watch_idle(self, event: Event) -> None:
+        """Arm ``event`` to fire the next time this (runnable) entry stops
+        being runnable; dispatchers use it to end a slice early,
+        work-conservingly.  Pass it to :meth:`withdraw_idle` if the wait
+        ends another way."""
+        self._idle_waiters.append(event)
+
+    def withdraw_idle(self, event: Event) -> None:
+        """Disarm an idle waiter, so it never fires (a no-op once fired)."""
+        if event in self._idle_waiters:  # events compare by identity
+            self._idle_waiters.remove(event)
 
     def _fire_idle(self) -> None:
+        if not self._idle_waiters:
+            return
         waiters, self._idle_waiters = self._idle_waiters, []
         for ev in waiters:
             if not ev.triggered:

@@ -136,18 +136,23 @@ def _sparkline(
     height: int = 36,
     y_max: Optional[float] = None,
 ) -> str:
-    """One inline-SVG sparkline: a 2px polyline over a hairline baseline."""
+    """One inline-SVG sparkline: a 2px polyline over a hairline baseline.
+
+    Points are spaced evenly left to right in sample order, not by their
+    time: one ``run`` label can cover sub-runs whose sim clock restarts,
+    so ``t`` may go backwards.  Values are clamped to ``[0, y_max]``, so
+    every coordinate stays inside the padded box.
+    """
     if not points:
         return '<span class="note">no samples</span>'
-    t0, t1 = points[0][0], points[-1][0]
-    tspan = (t1 - t0) or 1.0
     vmax = y_max if y_max is not None else max(v for _, v in points)
     vmax = vmax or 1.0
     pad = 2
+    xstep = (width - 2 * pad) / max(len(points) - 1, 1)
     coords = " ".join(
-        f"{pad + (t - t0) / tspan * (width - 2 * pad):.1f},"
-        f"{height - pad - min(v, vmax) / vmax * (height - 2 * pad):.1f}"
-        for t, v in points
+        f"{pad + i * xstep:.1f},"
+        f"{height - pad - max(0.0, min(v, vmax)) / vmax * (height - 2 * pad):.1f}"
+        for i, (_t, v) in enumerate(points)
     )
     return (
         f'<svg class="spark" width="{width}" height="{height}" '

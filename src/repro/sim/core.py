@@ -6,13 +6,7 @@ import heapq
 from typing import Any, Generator, List, Optional, Tuple, Union
 
 import repro.telemetry as _telemetry
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventPriority,
-    Timeout,
-)
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessExit
 
 
@@ -89,15 +83,15 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(
-        self,
-        event: Event,
-        priority: EventPriority = EventPriority.NORMAL,
-        delay: float = 0.0,
-    ) -> None:
-        """Enqueue ``event`` to be processed after ``delay``."""
+    def schedule(self, event: Event, priority: int = 1, delay: float = 0.0) -> None:
+        """Enqueue ``event`` to be processed after ``delay``.
+
+        ``priority`` is an :class:`~repro.sim.events.EventPriority` value;
+        it enters the queue entry as given, with no ``int()`` per event, so
+        internal callers pass the plain ints 0 (URGENT) and 1 (NORMAL).
+        """
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, int(priority), self._eid, event))
+        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     # -- factories -----------------------------------------------------------
 

@@ -20,7 +20,8 @@ class EventPriority(enum.IntEnum):
 
     Lower values run earlier.  ``URGENT`` is used internally for process
     resumption bookkeeping so that a process observes resource state updated
-    by same-time releases.
+    by same-time releases.  The kernel's own callers pass the plain ints
+    (0, 1) to :meth:`~repro.sim.core.Environment.schedule`.
     """
 
     URGENT = 0
@@ -87,7 +88,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
@@ -98,7 +99,7 @@ class Event:
         """Trigger the event with a failure carrying ``exception``."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
@@ -107,7 +108,7 @@ class Event:
 
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another (callback helper)."""
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         self._ok = event._ok
         self._value = event._value
@@ -140,11 +141,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Sets every slot here instead of calling Event.__init__: a timeout
+        # is built on every quantum, slice and op, so the call is worth
+        # saving.  Keep the field set in lockstep with Event.__slots__.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self.defused = False
+        self.delay = delay
+        env.schedule(self, 1, delay)  # EventPriority.NORMAL
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
@@ -160,7 +166,7 @@ class Initialize(Event):
         self.callbacks.append(process._resume)
         self._ok = True
         self._value = None
-        env.schedule(self, priority=EventPriority.URGENT)
+        env.schedule(self, 0)  # EventPriority.URGENT
 
 
 class Interrupt(Exception):
@@ -256,7 +262,7 @@ class Condition(Event):
         return ConditionValue([e for e in self._events if e.processed])
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             event.defused = True

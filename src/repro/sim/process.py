@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.events import Event, EventPriority, Initialize, Interrupt
+from repro.sim.events import Event, Initialize, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -80,7 +80,7 @@ class Process(Event):
         interrupt_event._value = Interrupt(cause)
         interrupt_event.defused = True
         interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=EventPriority.URGENT)
+        self.env.schedule(interrupt_event, 0)  # EventPriority.URGENT
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or failure) of ``event``."""

@@ -145,6 +145,19 @@ def test_las_short_jobs_finish_first():
     assert short_p.value < long_p.value
 
 
+@pytest.mark.parametrize("policy", [TFS, LAS], ids=["TFS", "LAS"])
+def test_slices_ending_by_timeout_leave_no_idle_waiter_behind(policy):
+    # 0.2 s kernels span many TFS slices (40 ms) and LAS quanta (20 ms),
+    # each of which ends by timeout while the tenant is still busy.
+    env, device, sched = setup(policy())
+    a = register(env, sched, "A")
+    env.process(tenant_proc(env, sched, device, a, n_ops=3, kernel_s=0.2))
+    for t in (0.1, 0.15, 0.35, 0.5):
+        env.run(until=t)
+        assert a.runnable
+        assert len(a._idle_waiters) <= 1
+
+
 # -- PS phase picking (pure logic) ------------------------------------------------
 
 

@@ -7,10 +7,12 @@ per-test.  A second run checks the metrics-alone summary path.
 
 import csv
 import json
+import re
 
 import pytest
 
 from repro.harness.__main__ import main
+from repro.obs.report import _sparkline
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,34 @@ class TestHtmlReport:
         html = artifacts["report"].read_text()
         assert "prefers-color-scheme: dark" in html
         assert 'data-theme="dark"' in html
+
+    def test_report_polylines_stay_inside_their_box(self, artifacts):
+        # fig9 reuses one run label across sub-runs whose sim clock
+        # restarts, so its series times go backwards.
+        html = artifacts["report"].read_text()
+        polylines = re.findall(r'<polyline points="([^"]*)"', html)
+        assert polylines
+        for points in polylines:
+            _assert_inside_box(points, width=420, height=36)
+
+
+def _assert_inside_box(points, width, height, pad=2):
+    coords = [tuple(map(float, p.split(","))) for p in points.split()]
+    xs = [x for x, _ in coords]
+    assert xs == sorted(xs)
+    assert all(pad <= x <= width - pad for x in xs)
+    assert all(pad <= y <= height - pad for _, y in coords)
+
+
+def test_sparkline_draws_restarting_times_left_to_right():
+    # Two sub-runs under one label: sim time restarts at 0 after t=4.
+    points = [(0.0, 0.2), (2.0, 0.5), (4.0, 0.9), (0.0, 1.3), (2.0, -0.1)]
+    svg = _sparkline(points, width=420, height=36, y_max=1.0)
+    drawn = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+    _assert_inside_box(drawn, width=420, height=36)
+    xs = [float(p.split(",")[0]) for p in drawn.split()]
+    assert xs[0] == 2.0 and xs[-1] == 418.0
+    assert len(set(xs)) == len(points)
 
 
 class TestSeriesCsv:

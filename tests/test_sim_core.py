@@ -97,6 +97,71 @@ def test_same_time_events_fifo_order():
     assert log == list("abcde")
 
 
+def test_urgent_events_run_before_queued_normal_ones():
+    # A process start (Initialize) and an interrupt are URGENT: at equal
+    # time they overtake a NORMAL event that was queued before them.
+    env = Environment()
+    log = []
+
+    def note(name):
+        return lambda _ev: log.append(name)
+
+    first = env.event()
+    first.callbacks.append(note("normal@0"))
+    first.succeed()
+
+    def starter(env):
+        log.append("initialize@0")
+        yield env.timeout(10.0)
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10.0)
+        except Interrupt:
+            log.append("interrupt@1")
+
+    def poker(env, victim):
+        yield env.timeout(1.0)
+        queued = env.event()
+        queued.callbacks.append(note("normal@1"))
+        queued.succeed()
+        victim.interrupt()
+
+    env.process(starter(env))
+    victim = env.process(sleeper(env))
+    env.process(poker(env, victim))
+    env.run()
+    assert log == ["initialize@0", "normal@0", "interrupt@1", "normal@1"]
+
+
+def test_run_processes_every_event_through_step(monkeypatch):
+    # Hooks that replace Environment.step (a setup probe, a tracer) must
+    # see every event, whichever way run() is called.
+    calls = []
+    step = Environment.step
+
+    def counting_step(self):
+        calls.append(self.now)
+        step(self)
+
+    monkeypatch.setattr(Environment, "step", counting_step)
+    env = Environment()
+
+    def ticker(env, n):
+        for _ in range(n):
+            yield env.timeout(1.0)
+        return n
+
+    env.process(ticker(env, 10))
+    env.run(until=2.5)
+    assert len(calls) == env.events_processed > 0
+    assert env.run(until=env.process(ticker(env, 3))) == 3
+    assert len(calls) == env.events_processed
+    env.run()
+    assert len(calls) == env.events_processed
+    assert env.now == 10.0
+
+
 def test_event_succeed_carries_value():
     env = Environment()
     ev = env.event()
