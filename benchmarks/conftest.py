@@ -3,9 +3,10 @@
 Each benchmark regenerates one of the paper's tables/figures at CI scale
 (a reduced request count and, for the 24-pair figures, a representative
 pair subset — the full sweep is ``python -m repro.harness <fig>``) and
-asserts the paper's qualitative *shape* on the result.  pytest-benchmark
-measures a single round: these are simulation experiments, not
-microbenchmarks, and their interesting output is the figure data itself.
+asserts the paper's qualitative *shape* on the result.  The suite runs
+under plain pytest (``pytest benchmarks/``): these are simulation
+experiments, not microbenchmarks, so nothing times them and their
+interesting output is the figure data itself.
 """
 
 import os
@@ -19,11 +20,11 @@ import pytest
 
 
 @pytest.fixture
-def once(benchmark):
-    """Run the benched callable exactly once and return its result."""
+def once():
+    """Run the measured callable exactly once and return its result."""
 
     def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+        return fn(*args, **kwargs)
 
     return _run
 

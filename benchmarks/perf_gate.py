@@ -1,9 +1,11 @@
 """Performance-regression gate over pinned canonical scenarios (ISSUE 4).
 
-Runs six seeded scenarios — a fig9-sized GMin-Strings run over every
+Runs nine seeded scenarios — a fig9-sized GMin-Strings run over every
 application, the chaos fault-injection scenario, a two-node scale-out
-run, and Fig. 12's pair C under each gated device policy (LAS, PS, TFS)
-— each under a full :class:`~repro.obs.Telemetry` registry, and
+run, Fig. 12's pair C under each gated device policy (LAS, PS, TFS),
+Fig. 11's pair A and the LAS decay ablation (both closed loop), and
+Table I's solo profiles — each under a full
+:class:`~repro.obs.Telemetry` registry, and
 records their **sim-time blame vectors** (per-phase critical-path blame,
 request counts, completion quantiles) plus an *advisory* wall-clock
 reading into ``BENCH_perf_gate.json`` at the repo root.  Every scenario
@@ -160,6 +162,64 @@ def _scenario_pair_c(policy):
     return scenario
 
 
+def _installed(telemetry, call):
+    """``call()`` with ``telemetry`` as the installed default registry.
+
+    The experiment-level scenarios below take no registry argument, so
+    the registry goes in around the call and the previous one comes back
+    after it."""
+    from repro import obs
+
+    previous = obs.current()
+    obs.install(telemetry)
+    try:
+        return call()
+    finally:
+        obs.install(previous)
+
+
+def _scenario_fig11a(telemetry):
+    """Fig. 11 pair A: closed-loop sharing and solo references, every system.
+
+    Extras: each system's pair-A Jain fairness."""
+    from repro.harness import fig11
+    from repro.harness.runner import SCALE_QUICK
+
+    fairness = _installed(telemetry, lambda: fig11.run(SCALE_QUICK, pair_labels=("A",)))
+    return {f"fairness_{system}": by_pair["A"] for system, by_pair in fairness.items()}
+
+
+def _scenario_las_k(telemetry):
+    """The LAS decay-constant ablation: five closed-loop tenants per k.
+
+    Extras: every per-app mean completion."""
+    from repro.harness import ablations
+    from repro.harness.runner import SCALE_QUICK
+
+    means = _installed(
+        telemetry, lambda: ablations.ablate_las_k(SCALE_QUICK.fairness_window_s / 2)
+    )
+    return {
+        f"mean_{k}_{app}_s": mean
+        for k, per_app in means.items()
+        for app, mean in per_app.items()
+    }
+
+
+def _scenario_table1(telemetry):
+    """Table I: one solo request per app under the bare CUDA runtime.
+
+    Extras: every app's four measured columns."""
+    from repro.harness import table1
+
+    profiles = _installed(telemetry, table1.run)
+    return {
+        f"{app}_{column}": value
+        for app, columns in profiles.items()
+        for column, value in columns.items()
+    }
+
+
 SCENARIOS = {
     "fig9_gmin_strings": _scenario_fig9,
     "chaos": _scenario_chaos,
@@ -167,6 +227,9 @@ SCENARIOS = {
     "fig12c_las_strings": _scenario_pair_c("GWtMin+LAS-Strings"),
     "fig12c_ps_strings": _scenario_pair_c("GWtMin+PS-Strings"),
     "fig12c_tfs_strings": _scenario_pair_c("TFS-Strings"),
+    "fig11a_closed_loop": _scenario_fig11a,
+    "las_k_closed_loop": _scenario_las_k,
+    "table1_solo": _scenario_table1,
 }
 
 
@@ -207,13 +270,14 @@ def run_scenarios(inflate_kernel: float = 0.0) -> Dict[str, Any]:
     """Run every pinned scenario; sim metrics + advisory wall clock each.
 
     A scenario may return a dict of extra exact metrics (the pair-C
-    scenarios return dispatch signal counts); it joins the ``sim`` vector.
+    scenarios return dispatch signal counts, the experiment-level ones
+    the numbers their experiment reports); it joins the ``sim`` vector.
 
     Every scenario runs under a :class:`~repro.obs.SamplingProfiler`.
     Because the ``sim`` vector is gated exactly, each ``--check``
     re-proves that self-profiling leaves simulated results
     byte-identical.  Nothing is recorded from the sampler: a scenario
-    lasts 0.2-1 s, about 15-60 samples, too few for a layer split.
+    lasts 0.05-1 s, about 5-60 samples, too few for a layer split.
     """
     from repro.obs import SamplingProfiler, Telemetry
 

@@ -11,53 +11,25 @@ workload, quantifying that mechanism's contribution:
 * Design II head-of-line blocking (master-thread backend).
 """
 
-import pytest
-
-from repro.sim import Environment
-from repro.cluster import build_single_gpu_server, build_small_server
+from repro.cluster import build_single_gpu_server
 from repro.core import RainSystem, StringsSystem
 from repro.core.config import SchedulerConfig
 from repro.core.policies import GMin, GRR, LAS, TFS
-from repro.apps import app_by_short, run_request
+from repro.apps import app_by_short
 from repro.metrics import jains_fairness
+from repro.harness.ablations import _batch, _makespan
 from repro.harness.runner import closed_loop_shared_run, solo_completion_time
-
-
-def run_concurrent(make_system, shorts, testbed=build_small_server):
-    env = Environment()
-    nodes, net = testbed(env)
-    system = make_system(env, nodes, net)
-    procs = []
-    for i, short in enumerate(shorts):
-        spec = app_by_short(short)
-        sess = system.session(spec.short, nodes[0], tenant_id=f"t{i}")
-        procs.append(env.process(run_request(env, sess, spec)))
-    env.run(until=env.all_of(procs))
-    return max(p.value.finish_s for p in procs)
-
-
-def run_concurrent_per_app(make_system, shorts, testbed=build_small_server):
-    env = Environment()
-    nodes, net = testbed(env)
-    system = make_system(env, nodes, net)
-    procs = []
-    for i, short in enumerate(shorts):
-        spec = app_by_short(short)
-        sess = system.session(spec.short, nodes[0], tenant_id=f"t{i}")
-        procs.append((short, env.process(run_request(env, sess, spec))))
-    env.run(until=env.all_of([p for _, p in procs]))
-    return {short: p.value.completion_s for short, p in procs}
 
 
 def test_ablation_context_packing(once):
     """Design III (Strings) vs Design I (Rain) at identical balancing."""
 
     def measure():
-        packed = run_concurrent(
+        packed = _makespan(
             lambda e, n, w: StringsSystem(e, n, w, balancing=GMin()),
             ["MC", "DC", "MC", "DC"],
         )
-        unpacked = run_concurrent(
+        unpacked = _makespan(
             lambda e, n, w: RainSystem(e, n, w, balancing=GMin()),
             ["MC", "DC", "MC", "DC"],
         )
@@ -72,11 +44,11 @@ def test_ablation_mot(once):
     """Sync->async memcpy translation on the transfer-dominated MonteCarlo."""
 
     def measure():
-        with_mot = run_concurrent(
+        with_mot = _makespan(
             lambda e, n, w: StringsSystem(e, n, w, balancing=GMin(), mot_enabled=True),
             ["MC", "MC"],
         )
-        without = run_concurrent(
+        without = _makespan(
             lambda e, n, w: StringsSystem(e, n, w, balancing=GMin(), mot_enabled=False),
             ["MC", "MC"],
         )
@@ -93,18 +65,16 @@ def test_ablation_sst(once):
     waits on DXTC's long outstanding kernels too: GA's latency balloons.
     """
 
+    def completion_per_app(sst_enabled: bool):
+        results = _batch(
+            lambda e, n, w: StringsSystem(e, n, w, balancing=GRR(), sst_enabled=sst_enabled),
+            ["DC", "GA"],
+            build_single_gpu_server,
+        )
+        return {r.app: r.completion_s for r in results}
+
     def measure():
-        with_sst = run_concurrent_per_app(
-            lambda e, n, w: StringsSystem(e, n, w, balancing=GRR(), sst_enabled=True),
-            ["DC", "GA"],
-            testbed=build_single_gpu_server,
-        )
-        without = run_concurrent_per_app(
-            lambda e, n, w: StringsSystem(e, n, w, balancing=GRR(), sst_enabled=False),
-            ["DC", "GA"],
-            testbed=build_single_gpu_server,
-        )
-        return with_sst, without
+        return completion_per_app(True), completion_per_app(False)
 
     with_sst, without = once(measure)
     # The victim of whole-context synchronization is the short tenant.

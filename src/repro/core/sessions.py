@@ -217,11 +217,6 @@ class DirectSession(GpuSession):
     def synchronize(self) -> Event:
         return self._obs_op(self._thread.device_synchronize(), GpuPhase.DFL.value)
 
-    @property
-    def worker(self) -> Optional[CudaThread]:
-        """The underlying CUDA thread (diagnostics)."""
-        return self._thread
-
 
 class ManagedSession(GpuSession):
     """Shared machinery of every scheduled session (Designs I/II/III).

@@ -96,12 +96,6 @@ class CudaThread:
         self._streams: List[GpuStream] = []
         #: Device pointers allocated by this thread: ptr -> device index.
         self._allocations: Dict[int, int] = {}
-        #: Cumulative wall time this thread's ops occupied GPU engines.
-        self.gpu_time_attained = 0.0
-        #: Cumulative wall time spent in data transfers.
-        self.transfer_time_attained = 0.0
-        #: Total device-memory traffic of launched kernels (GB).
-        self.bytes_accessed = 0.0
 
     # -- helpers -------------------------------------------------------------
 
@@ -126,33 +120,6 @@ class CudaThread:
     def context(self) -> GpuContext:
         """The process context on the current device (creates it lazily)."""
         return self.process.context_for(self._device_index)
-
-    def _record(self, record: dict) -> None:
-        elapsed = record["finished_at"] - record["started_at"]
-        op = record["op"]
-        if isinstance(op, KernelOp):
-            self.gpu_time_attained += elapsed
-            self.bytes_accessed += op.bytes_accessed
-        else:
-            self.transfer_time_attained += elapsed
-
-    def _tracked(self, done: Event) -> Event:
-        """Wrap an op completion so per-thread usage counters update."""
-        out = self.env.event()
-
-        def _on_done(evt: Event) -> None:
-            if evt.ok:
-                self._record(evt.value)
-                out.succeed(evt.value)
-            else:
-                evt.defused = True
-                out.fail(evt.value)
-
-        if done.callbacks is None:
-            _on_done(done)
-        else:
-            done.callbacks.append(_on_done)
-        return out
 
     # -- device management ---------------------------------------------------
 
@@ -214,8 +181,7 @@ class CudaThread:
         """
         self._check_live()
         op = CopyOp(nbytes=nbytes, kind=kind, pinned=False, tag=tag)
-        done = self.device.submit(self.context.default_stream, op)
-        return self._tracked(done)
+        return self.device.submit(self.context.default_stream, op)
 
     def memcpy_async(
         self,
@@ -232,7 +198,7 @@ class CudaThread:
         if target.destroyed:
             raise CudaError(CudaErrorCode.INVALID_RESOURCE_HANDLE, "stream destroyed")
         op = CopyOp(nbytes=nbytes, kind=kind, pinned=pinned, tag=tag)
-        return self._tracked(self.device.submit(target, op))
+        return self.device.submit(target, op)
 
     # -- kernels --------------------------------------------------------------------
 
@@ -257,7 +223,7 @@ class CudaThread:
         op = KernelOp(
             flops=flops, bytes_accessed=bytes_accessed, occupancy=occupancy, tag=tag
         )
-        return self._tracked(self.device.submit(target, op))
+        return self.device.submit(target, op)
 
     # -- streams ---------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from repro.faults.errors import (
     LinkPartitionError,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultEvent, FaultPlan, RetryPolicy, parse_fault_spec
+from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError, RetryPolicy, parse_fault_spec
 from repro.faults.recovery import RETRYABLE_CUDA, RecoveryManager
 
 _active_plan: Optional[FaultPlan] = None
@@ -66,6 +66,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
+    "FaultPlanError",
     "LinkPartitionError",
     "RETRYABLE_CUDA",
     "RecoveryManager",

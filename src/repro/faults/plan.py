@@ -31,6 +31,12 @@ from typing import List, Optional, Sequence, Tuple
 KINDS = ("gpu_fail", "gpu_recover", "backend_crash", "link_degrade", "link_partition")
 
 
+class FaultPlanError(ValueError):
+    """A fault plan the experiment cannot honour: it targets a GPU or host
+    the run's pool lacks, or it lost a request whose result the
+    experiment needs (the ``retries=`` budget ran out)."""
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault (or recovery) at sim time ``t``."""
@@ -175,7 +181,7 @@ class FaultPlan:
     # -- materialization ----------------------------------------------------
 
     def check_targets(self, gids: Sequence[int], hosts: Sequence[str]) -> None:
-        """Raise :class:`ValueError` for a target the pool does not have.
+        """Raise :class:`FaultPlanError` for a target the pool does not have.
 
         Covers every explicit ``gid``, the random processes' ``gids=`` and
         every partition ``host``: unchecked, a bad GID fails mid-run with a
@@ -185,13 +191,13 @@ class FaultPlan:
         targets += [gid for spec in self._random_specs for gid in spec.gids or ()]
         for gid in targets:
             if gid not in gids:
-                raise ValueError(
+                raise FaultPlanError(
                     f"fault plan targets gid {gid}, but the pool has gids "
                     f"{', '.join(map(str, gids))}"
                 )
         for host in (e.host for e in self.events if e.host is not None):
             if host not in hosts:
-                raise ValueError(
+                raise FaultPlanError(
                     f"fault plan targets host {host!r}, but the pool has hosts "
                     f"{', '.join(hosts)}"
                 )
@@ -352,4 +358,4 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     return plan
 
 
-__all__ = ["FaultEvent", "FaultPlan", "RetryPolicy", "parse_fault_spec"]
+__all__ = ["FaultEvent", "FaultPlan", "FaultPlanError", "RetryPolicy", "parse_fault_spec"]

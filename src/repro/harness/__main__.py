@@ -195,6 +195,8 @@ def _run(args) -> int:
                 with observed.telemetry.stopwatch("experiment.wall_s", experiment=exp.name) as sw:
                     print(exp.analyze(registry.run_prepared(exp, ctx), ctx))
                 print(f"[{exp.name} done in {sw.elapsed:.1f}s]\n")
+    except faults.FaultPlanError as e:
+        args.error(f"--faults: {e}")
     finally:
         faults.reset_plan()
         network_mod.reset_defaults()

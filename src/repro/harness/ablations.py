@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import repro.faults as faults
 from repro.cluster import build_single_gpu_server, build_small_server
 from repro.core import Design2System, RainSystem, StringsSystem
 from repro.core.arbiter import install_arbiter
@@ -32,11 +33,21 @@ from repro.harness.runner import (
 
 def _batch(make_system, shorts, testbed=build_small_server):
     """One request per app short (tenants t0, t1, ...), all arriving at
-    t=0 on node 0; returns the run's per-request results."""
+    t=0 on node 0; returns the run's per-request results.
+
+    Every ablation reads every request, so a fault plan that loses one
+    is an error, not a shorter batch."""
     stream = RequestStream(
         [Request(app_by_short(short), 0.0, tenant_id=f"t{i}") for i, short in enumerate(shorts)]
     )
-    return run_stream_experiment(make_system, [stream], testbed, label="ablation").results
+    run = run_stream_experiment(make_system, [stream], testbed, label="ablation")
+    if run.failed:
+        lost = [s for s in dict.fromkeys(shorts) if run.per_app.get(s, 0) < shorts.count(s)]
+        raise faults.FaultPlanError(
+            f"the fault plan lost {run.failed} of the ablation's requests "
+            f"({', '.join(lost)}; retries={faults.current_plan().retry.max_retries} ran out)"
+        )
+    return run.results
 
 
 def _makespan(make_system, shorts) -> float:

@@ -149,13 +149,13 @@ def system_factories() -> Dict[str, SystemFactory]:
 
 
 # --------------------------------------------------------------------------
-# The request path: finite streams and generated traffic share one body
+# The request path: streams, generated traffic and closed loops share one body
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class RunResult:
-    """Outcome of one run through the request path (either runner).
+    """Outcome of one run through the request path (every runner).
 
     Latencies live in a telemetry histogram (a mergeable quantile
     sketch) and everything else is counters, so a
@@ -274,13 +274,21 @@ def _run_sessions(
     fault_plan,
     horizon_s: float,
     keep_results: bool,
+    closed_loop: Sequence[AppSpec] = (),
 ) -> RunResult:
-    """The request path both runners share.
+    """The request path every run takes.
 
     A driver process walks ``sessions`` (arrival-ordered, possibly lazy),
     spawning one process per request as each session arrives, and a
     counting barrier fires once the driver is exhausted and the last
     in-flight request resolves.
+
+    Closed loop: tenant ``i`` of ``closed_loop`` runs ``closed_loop[i]``
+    on node 0 as ``tenant{i}``, issuing its first request at t=0 and
+    each next one as soon as the previous resolves (completed, aborted
+    or failed), while ``env.now < horizon_s``.  Each loop holds the
+    barrier open until it exits, so the barrier cannot fire between two
+    of its requests.
 
     Churn: a session whose tenant departs mid-flight is killed with
     :class:`~repro.traffic.TenantDeparted` via ``session.abort`` — the
@@ -440,6 +448,25 @@ def _run_sessions(
         if outstanding == 0 and not done.triggered:
             done.succeed()
 
+    # A closed-loop tenant is one process that drives its requests
+    # inline, so a resolution resumes it directly and the next request
+    # starts without a hop through a per-request process.
+    def tenant_loop(app: AppSpec, tenant_id: str):
+        nonlocal outstanding
+        live: list = []
+        state = {"departed": False}
+        while True:
+            run.offered += 1
+            outstanding += 1
+            yield from request_proc(Request(app, env.now, tenant_id=tenant_id), live, state)
+            if env.now >= horizon_s:
+                break
+        finish_one()
+
+    for i, app in enumerate(closed_loop):
+        run.sessions += 1
+        outstanding += 1
+        env.process(tenant_loop(app, f"tenant{i}"), name=f"loop:{app.short}")
     env.process(driver(), name="traffic-driver")
     with tel.stopwatch("harness.wall_s", label=label) as sw:
         env.run(until=done)
@@ -489,13 +516,15 @@ def solo_completion_time(
     testbed: Callable[[Environment], Tuple[List[Node], Network]],
 ) -> float:
     """Completion time of one request running *alone* under a system."""
-    env = Environment()
-    nodes, network = testbed(env)
-    system = factory(env, nodes, network)
-    session = system.session(app.short, nodes[0])
-    proc = env.process(run_request(env, session, app))
-    result = env.run(until=proc)
-    return result.completion_s
+    run = run_stream_experiment(
+        factory, [RequestStream([Request(app, 0.0)])], testbed, label=f"solo:{app.short}"
+    )
+    if run.failed:
+        raise faults.FaultPlanError(
+            f"the fault plan lost the solo {app.short} reference request "
+            f"(retries={faults.current_plan().retry.max_retries} ran out)"
+        )
+    return run.results[0].completion_s
 
 
 def closed_loop_shared_run(
@@ -503,44 +532,26 @@ def closed_loop_shared_run(
     apps: Sequence[AppSpec],
     testbed: Callable[[Environment], Tuple[List[Node], Network]],
     window_s: float,
-    tenant_weights: Optional[Sequence[float]] = None,
 ) -> Dict[str, float]:
-    """Run one instance of each app back-to-back for ``window_s`` on a
-    shared testbed; returns each app's mean per-request completion time.
+    """Run one closed-loop tenant per app for ``window_s`` on a shared
+    testbed; returns each app's mean per-request completion time.
 
     This is the fairness rig of paper Fig. 11: application pairs share a
-    single GPU with pre-defined (equal) tenant shares.
+    single GPU with pre-defined (equal) tenant shares.  An app that
+    completes no request inside the window (a fault plan can lose every
+    one) is charged the whole window as its censored completion time.
     """
-    env = Environment()
-    nodes, network = testbed(env)
-    system = factory(env, nodes, network)
-    weights = list(tenant_weights) if tenant_weights else [1.0] * len(apps)
+    run = _run_sessions(
+        factory, (), testbed, "closed-loop:" + "+".join(a.short for a in apps),
+        False, None, None, window_s, keep_results=True, closed_loop=apps,
+    )
     times: Dict[str, List[float]] = {a.short: [] for a in apps}
-
-    def loop(app: AppSpec, weight: float, tenant: str):
-        while env.now < window_s:
-            session = system.session(
-                app.short, nodes[0], tenant_id=tenant, tenant_weight=weight
-            )
-            result = yield env.process(run_request(env, session, app))
-            times[app.short].append(result.completion_s)
-
-    procs = [
-        env.process(loop(app, w, f"tenant{i}"), name=f"loop:{app.short}")
-        for i, (app, w) in enumerate(zip(apps, weights))
-    ]
-    env.run(until=env.all_of(procs))
-
-    out: Dict[str, float] = {}
-    for app in apps:
-        samples = times[app.short]
-        if not samples:
-            # The app never completed a request inside the window: charge
-            # the whole window as its (censored) completion time.
-            out[app.short] = window_s
-        else:
-            out[app.short] = sum(samples) / len(samples)
-    return out
+    for result in run.results:
+        times[result.app].append(result.completion_s)
+    return {
+        short: sum(samples) / len(samples) if samples else window_s
+        for short, samples in times.items()
+    }
 
 
 __all__ = [

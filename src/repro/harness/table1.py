@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.sim import Environment
+import repro.obs as obs
 from repro.cluster import build_single_gpu_server
 from repro.core.systems import CudaRuntimeSystem
-from repro.apps import ALL_APPS, run_request
+from repro.apps import ALL_APPS
 from repro.apps.catalog import PAPER_BANDWIDTH_MBPS, REFERENCE_SPEC
 from repro.harness import registry
 from repro.harness.format import format_table
+from repro.harness.runner import run_stream_experiment
+from repro.workloads import Request, RequestStream
 
 #: Paper Table I reference columns: (GPU time %, data transfer %).
 PAPER_TABLE1: Dict[str, tuple] = {
@@ -28,23 +30,27 @@ PAPER_TABLE1: Dict[str, tuple] = {
 
 
 def profile_app(app) -> Dict[str, float]:
-    """Measured solo profile of one app on the reference GPU."""
-    env = Environment()
-    nodes, net = build_single_gpu_server(env)
-    system = CudaRuntimeSystem(env, nodes, net)
-    session = system.session(app.short, nodes[0])
-    proc = env.process(run_request(env, session, app))
-    result = env.run(until=proc)
+    """Measured solo profile of one app on the reference GPU.
 
-    worker = session.worker
-    runtime = result.completion_s
-    gpu_busy = worker.gpu_time_attained + worker.transfer_time_attained
-    kernel_time = worker.gpu_time_attained
+    Device time is what the bare runtime's session charges to the app's
+    tenant in the attribution table: of the installed registry when it
+    is enabled (so a traced run captures the profile), else a private one.
+    """
+    tel = obs.current() if obs.current().enabled else obs.Telemetry()
+    stream = RequestStream([Request(app, 0.0, tenant_id=app.short)])
+    run = run_stream_experiment(
+        CudaRuntimeSystem, [stream], build_single_gpu_server, f"table1:{app.short}", telemetry=tel
+    )
+    usage = tel.attribution.usage(app.short, 0)
+    runtime = run.results[0].completion_s
+    gpu_busy = usage.gpu_busy_s + usage.transfer_s
     return {
         "runtime_s": runtime,
         "gpu_pct": 100.0 * gpu_busy / runtime,
-        "transfer_pct": 100.0 * worker.transfer_time_attained / gpu_busy if gpu_busy else 0.0,
-        "bandwidth_mbps": 1000.0 * worker.bytes_accessed / kernel_time if kernel_time else 0.0,
+        "transfer_pct": 100.0 * usage.transfer_s / gpu_busy if gpu_busy else 0.0,
+        "bandwidth_mbps": (
+            1000.0 * usage.kernel_bytes_gb / usage.gpu_busy_s if usage.gpu_busy_s else 0.0
+        ),
     }
 
 

@@ -107,7 +107,6 @@ def test_sync_memcpy_blocks_for_wire_time(env, proc):
     env.process(go(env))
     env.run()
     assert finish[0] == pytest.approx(0.01, rel=1e-2)
-    assert t.transfer_time_attained == pytest.approx(0.01, rel=1e-2)
 
 
 def test_async_memcpy_pinned_is_faster(env, proc):
@@ -144,7 +143,6 @@ def test_kernel_launch_is_asynchronous(env, proc):
     assert marks[0] == ("launched", 0.0)
     assert marks[1][2] is False
     assert marks[2][1] == pytest.approx(0.1, rel=1e-2)
-    assert t.gpu_time_attained == pytest.approx(0.1, rel=1e-2)
 
 
 def test_stream_synchronize_waits_for_stream_only(env, proc):
@@ -233,16 +231,3 @@ def test_process_teardown_destroys_contexts(env, proc, devices):
     proc.teardown()
     assert devices[1].allocated_bytes == 0
     assert not proc.has_context(1)
-
-
-def test_usage_counters_accumulate_bytes(env, proc):
-    t = proc.spawn_thread()
-    t.set_device(1)
-
-    def go(env):
-        yield t.launch_kernel(flops=1.0, bytes_accessed=0.25)
-        yield t.launch_kernel(flops=1.0, bytes_accessed=0.25)
-
-    env.process(go(env))
-    env.run()
-    assert t.bytes_accessed == pytest.approx(0.5)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.faults as faults
 from repro.harness.__main__ import EXPERIMENTS, main
 from repro.harness import fig1, fig2, registry, table1
 from repro.harness.runner import SCALE_QUICK
@@ -55,6 +56,24 @@ def test_cli_rejects_bad_fault_spec(capsys):
     with pytest.raises(SystemExit):
         main(["fig1", "--faults", "gpu_melt@5:gid=0"])
     assert "--faults" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--scale", "quick", "--faults", "gpu_fail@5:gid=3"],
+        ["ablations", "--scale", "quick", "--faults", "gpu_fail@0.5:gid=0,retries=0"],
+    ],
+    ids=["gid-outside-pool", "needed-request-lost"],
+)
+def test_cli_reports_a_plan_the_experiment_cannot_honour(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--faults: " in err
+    assert "Traceback" not in err
+    assert faults.current_plan() is None
 
 
 def test_cli_rejects_bad_link_flags(capsys):

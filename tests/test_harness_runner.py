@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.faults as faults
+import repro.obs as obs
 from repro.sim import Environment
 from repro.cluster import build_single_gpu_server, build_small_server
 from repro.core.policies import GMin, GRR
@@ -147,6 +149,63 @@ def test_closed_loop_counts_at_least_one_request_each():
     )
     assert set(out) == {"BS", "GA"}
     assert all(v > 0 for v in out.values())
+
+
+@pytest.fixture
+def installed_tel():
+    previous = obs.current()
+    tel = obs.install(obs.Telemetry())
+    yield tel
+    obs.install(previous)
+
+
+def _request_spans(tel):
+    return [sp for sp in tel.spans if sp.cat == "request"]
+
+
+def test_closed_loop_honours_the_installed_fault_plan(installed_tel):
+    rig = (
+        system_factories()["TFS-Strings"],
+        [app_by_short("BS"), app_by_short("GA")],
+        build_single_gpu_server,
+        15.0,
+    )
+    clean = closed_loop_shared_run(*rig)
+    faults.install_plan(parse_fault_spec("gpu_fail@5:gid=0:down=2"))
+    try:
+        faulted = closed_loop_shared_run(*rig)
+    finally:
+        faults.reset_plan()
+    assert any(e.name == "redispatch" for e in installed_tel.decisions.events)
+    assert faulted != clean
+
+
+def test_closed_loop_and_solo_runs_are_observed_under_their_label(installed_tel):
+    facts = system_factories()
+    solo_completion_time(facts["CUDA"], app_by_short("BS"), build_single_gpu_server)
+    closed_loop_shared_run(
+        facts["GMin-Strings"], [app_by_short("BS"), app_by_short("GA")],
+        build_single_gpu_server, window_s=15.0,
+    )
+    per_label = {}
+    for sp in _request_spans(installed_tel):
+        per_label[sp.run_label] = per_label.get(sp.run_label, 0) + 1
+    assert per_label["solo:BS"] == 1
+    assert per_label["closed-loop:BS+GA"] >= 2
+    for label, n in per_label.items():
+        assert installed_tel.histogram("harness.latency_s", label=label).count == n
+
+
+def test_closed_loop_issues_only_inside_the_window(installed_tel):
+    window_s = 15.0
+    closed_loop_shared_run(
+        system_factories()["GMin-Strings"], [app_by_short("BS"), app_by_short("GA")],
+        build_single_gpu_server, window_s=window_s,
+    )
+    roots = _request_spans(installed_tel)
+    assert all(sp.start < window_s for sp in roots)
+    assert max(sp.end for sp in roots) >= window_s  # the last requests overrun it
+    assert {sp.args["tenant"] for sp in roots} == {"tenant0", "tenant1"}
 
 
 def test_family_of():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import NULL_ATTRIBUTION, AttributionTable, Telemetry
+from repro.simgpu import CopyKind
 
 
 class TestAttributionTable:
@@ -141,3 +142,49 @@ class TestConcurrentTenantAttribution:
     def test_rows_keyed_by_bound_gid(self, tel):
         gids = {r.gid for r in tel.attribution.rows()}
         assert gids <= {0, 1}
+
+
+class TestBareRuntimeAttribution:
+    """The bare CUDA runtime charges each completed op's device seconds
+    and kernel bytes to its tenant (the measurement Table I reads)."""
+
+    @staticmethod
+    def _row(ops):
+        """Run ``ops(session)`` in a bare-runtime session bound to the
+        small server's Tesla C2050; return the tenant's attribution row."""
+        from repro.cluster import build_small_server
+        from repro.core.sessions import DirectSession
+        from repro.sim import Environment
+
+        tel = Telemetry()
+        env = Environment(telemetry=tel)
+        nodes, _ = build_small_server(env)
+        session = DirectSession(env, "app", nodes[0], tenant_id="t")
+
+        def go():
+            yield session.bind(1)
+            yield from ops(session)
+            yield session.finish()
+
+        env.process(go())
+        env.run()
+        return tel.attribution.usage("t", 1)
+
+    def test_sync_memcpy_charges_wire_time(self):
+        def ops(s):
+            yield s.memcpy(30_000_000, CopyKind.H2D)  # pageable: 3 GB/s -> 10 ms
+
+        assert self._row(ops).transfer_s == pytest.approx(0.01, rel=1e-2)
+
+    def test_kernel_charges_its_run_time(self):
+        def ops(s):
+            yield s.launch(flops=103.0, bytes_accessed=0.001)  # 100 ms
+
+        assert self._row(ops).gpu_busy_s == pytest.approx(0.1, rel=1e-2)
+
+    def test_kernel_bytes_accumulate(self):
+        def ops(s):
+            yield s.launch(flops=1.0, bytes_accessed=0.25)
+            yield s.launch(flops=1.0, bytes_accessed=0.25)
+
+        assert self._row(ops).kernel_bytes_gb == pytest.approx(0.5)
