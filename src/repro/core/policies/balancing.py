@@ -18,7 +18,8 @@ DRAINING devices carry a warm-up ``load_penalty`` folded into
 ``effective_load``.  With every device healthy this is exactly the full
 table with the original loads, so the null fault path selects identically.
 Should *every* device be unhealthy, policies fall back to the full table
-rather than deadlock the arrival stream.
+rather than deadlock the arrival stream, and the session's bind then
+fails fast with a retryable ``NO_DEVICE`` (``ManagedSession._bind``).
 """
 
 from __future__ import annotations

@@ -35,9 +35,9 @@ device policy    none          optional gate optional gate optional gate
 
 Cross-cutting concerns attach at exactly one place per layer: telemetry
 spans for staging at the interposer, queue-wait/gate-park/op spans in the
-issue loop, and the fault-recovery hooks (:meth:`ManagedSession.abort` /
-:meth:`ManagedSession.dispose`) on the session base, which cancels only
-its own items on a shared loop.
+issue loop, and the one abort hook (:meth:`ManagedSession.abort`, for
+tenant departures and injected faults alike) on the session base, which
+cancels only its own items on a shared loop.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from repro.remoting.transport import Transport
 from repro.remoting.worker import BackendIssueLoop, IssueItem
 from repro.core.affinity import Binding, GpuAffinityMapper
 from repro.core.config import DEFAULT_CONFIG, SchedulerConfig
+from repro.core.gpool import DeviceHealth
 from repro.core.gpu_scheduler import GpuScheduler
 from repro.core.packer import ContextPacker, PackedApp
 from repro.core.rcb import GpuPhase, RcbEntry
@@ -276,10 +277,7 @@ class ManagedSession(GpuSession):
         #: anchor for synchronize under async translation).
         self._last_gpu_op: Optional[Event] = None
         self._finished = False
-        #: Recovery manager tracking this session (installed by the owning
-        #: system when fault injection is active; None on the null path).
-        self.faults = None
-        #: The injected-fault exception this session was killed with.
+        #: The exception :meth:`abort` killed this session with.
         self._aborted: Optional[BaseException] = None
         self._unbound = False
 
@@ -490,9 +488,13 @@ class ManagedSession(GpuSession):
         self._check_aborted()
         self.binding = self.mapper.bind(self.app_name, self.frontend_node.hostname)
         gid = self.binding.gid
+        if self.mapper.pool.dst.row(gid).health is DeviceHealth.UNHEALTHY:
+            # Placement fell back to a dead GPU (every one is down): fail
+            # fast and retryably instead of respawning its backend.
+            self.mapper.unbind(self.binding)
+            self._unbound = True
+            raise CudaError(CudaErrorCode.NO_DEVICE, f"GPU {gid} is unavailable")
         self.transport.local = self.mapper.pool.is_local(gid, self.frontend_node.hostname)
-        if self.faults is not None:
-            self.faults.track(self)
         # Forward the binding to the backend on the target node.
         yield self.interposer.request()
         # Checked *before* creating the worker: binding to a crashed
@@ -526,8 +528,6 @@ class ManagedSession(GpuSession):
         if self.binding is not None and not self._unbound:
             self.mapper.unbind(self.binding)
             self._unbound = True
-        if self.faults is not None:
-            self.faults.untrack(self)
         # Feedback rides the thread-exit response: no extra message cost.
         yield self.interposer.response()
         return profile
@@ -536,10 +536,10 @@ class ManagedSession(GpuSession):
         if self.worker is not None:
             self.worker.thread_exit()
 
-    # -- fault recovery hooks (repro.faults) --------------------------------
+    # -- aborts: tenant departures and injected faults ------------------------
 
     def _check_aborted(self) -> None:
-        """Raise the pending fault abort (cleaning up first), if any."""
+        """Raise the pending abort (cleaning up first), if any."""
         if self._aborted is not None:
             self._abort_cleanup()
             raise self._aborted
@@ -556,11 +556,10 @@ class ManagedSession(GpuSession):
         if self.binding is not None and not self._unbound:
             self.mapper.unbind(self.binding)
             self._unbound = True
-        if self.faults is not None:
-            self.faults.untrack(self)
 
     def abort(self, exc: BaseException) -> None:
-        """Kill the session with ``exc`` (called by the recovery manager).
+        """Kill the session with ``exc``: a tenant departure, an injected
+        fault, or the runner releasing a failed attempt before re-dispatch.
 
         Pending queued ops fail immediately (pre-defused: their drivers may
         never look); on a shared Design II loop only *this* session's items
@@ -574,12 +573,6 @@ class ManagedSession(GpuSession):
         self._finished = True
         if self._loop is not None:
             self._loop.cancel_owner(self, exc)
-        self._abort_cleanup()
-
-    def dispose(self) -> None:
-        """Release resources without the graceful-finish protocol (used by
-        the recovery manager between re-dispatch attempts)."""
-        self._finished = True
         self._abort_cleanup()
 
     # -- memory -----------------------------------------------------------------------------

@@ -60,10 +60,6 @@ class CudaRuntimeSystem:
         self.env = env
         self.nodes = list(nodes)
         self.network = network or Network()
-        #: Recovery manager (repro.faults); the baseline has no gPool so
-        #: fault injection leaves it alone, but the attribute exists for a
-        #: uniform system interface.
-        self.faults = None
 
     def session(
         self,
@@ -111,10 +107,6 @@ class _ScheduledSystem:
         self.daemons: Dict[str, BackendDaemon] = {
             node.hostname: BackendDaemon(env, node) for node in self.nodes
         }
-
-        #: Recovery manager (repro.faults) installed when fault injection
-        #: is active; sessions it hands out get tracked through it.
-        self.faults = None
 
         factory = device_policy if device_policy is not None else AlwaysAwake
         self.schedulers: Dict[int, GpuScheduler] = {}
@@ -178,7 +170,7 @@ class _ScheduledSystem:
             sess.scheduler = self.schedulers[gid]
             return self._bind_worker(sess, gid, entry, daemon)
 
-        sess = self.SESSION_CLS(
+        return self.SESSION_CLS(
             self.env,
             app_name,
             frontend_node,
@@ -191,8 +183,6 @@ class _ScheduledSystem:
             config=self.config,
             **self._session_kwargs(),
         )
-        sess.faults = self.faults
-        return sess
 
 
 class RainSystem(_ScheduledSystem):

@@ -7,17 +7,21 @@ reliability dimension a multi-tenant deployment needs:
   crashes and link degradation/partition at explicit sim times or from a
   seeded random arrival process (``--faults`` on the harness CLI, grammar
   in DESIGN.md §Fault Model).
-* **Recovery** — the :class:`RecoveryManager` marks failed devices
-  UNHEALTHY in the DST (balancing policies stop placing on them), aborts
-  the sessions in the blast radius and re-dispatches their requests to
-  survivors with capped exponential backoff; recovered devices re-enter
-  through a DRAINING warm-up state.
+* **Recovery** — one :class:`RecoveryManager` per run replays the plan,
+  marks failed devices UNHEALTHY in the DST (balancing policies stop
+  placing on them) and aborts the sessions in the blast radius, which it
+  finds in the runner's open-session table.  The runner's request body
+  asks it for a backoff on each retryable failure, so aborted requests
+  are re-dispatched to survivors with capped exponential backoff; a
+  request whose retry budget runs out is counted lost, not raised.
+  Recovered devices re-enter through a DRAINING warm-up state.
 * **Accounting** — fault rows in the decision log, outage spans in the
   Chrome trace, counters, and an availability summary per run.
 
-With no plan installed the subsystem costs nothing: no injector process
-is spawned and every hot-path hook is a ``None`` check, keeping the
-paper-shape experiment outputs byte-identical.
+With no plan installed the subsystem costs nothing: the runner builds no
+recovery manager and spawns no replay process, keeping the paper-shape
+experiment outputs byte-identical.  A plan that injects nothing (say
+``retries=4`` alone) runs exactly like no plan, churn included.
 
 The module-level plan slot mirrors :mod:`repro.obs`'s registry slot: the
 CLI installs a parsed plan process-wide; programmatic callers can instead
@@ -34,9 +38,8 @@ from repro.faults.errors import (
     FaultError,
     LinkPartitionError,
 )
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError, RetryPolicy, parse_fault_spec
-from repro.faults.recovery import RETRYABLE_CUDA, RecoveryManager
+from repro.faults.recovery import RETRYABLE_CUDA, RecoveryManager, retryable
 
 _active_plan: Optional[FaultPlan] = None
 
@@ -64,7 +67,6 @@ __all__ = [
     "DeviceLostError",
     "FaultError",
     "FaultEvent",
-    "FaultInjector",
     "FaultPlan",
     "FaultPlanError",
     "LinkPartitionError",
@@ -75,4 +77,5 @@ __all__ = [
     "install_plan",
     "parse_fault_spec",
     "reset_plan",
+    "retryable",
 ]

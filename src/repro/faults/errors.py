@@ -1,11 +1,9 @@
 """Exception taxonomy of the fault-injection subsystem.
 
 These are the *injected* failure causes a session surfaces to the request
-driver mid-flight.  The recovery layer retries around them; only once the
-retry budget is exhausted does the application model see a CUDA-style
-``cudaErrorDevicesUnavailable`` (:class:`repro.cuda.errors.CudaError`
-with code 46), matching how a real multi-tenant runtime would report an
-unrecoverable loss of capacity.
+driver mid-flight.  The runner's request body re-dispatches around them;
+once a request's retry budget is spent it is counted lost (``failed`` in
+the run, ``requests_lost`` in the availability summary), not raised.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ A :class:`FaultPlan` is a list of :class:`FaultEvent`\\ s in sim time —
 built programmatically (builder methods), from the harness ``--faults``
 spec grammar (:func:`parse_fault_spec`, mirroring ``--slo``), or from a
 seeded arrival process (:meth:`FaultPlan.random_gpu_failures`).  Plans
-are pure data: the :class:`~repro.faults.injector.FaultInjector` turns
-them into simulation events, so the same plan replayed over the same
-seed reproduces the identical failure timeline.
+are pure data: :meth:`~repro.faults.recovery.RecoveryManager.start`
+turns them into simulation events, so the same plan replayed over the
+same seed reproduces the identical failure timeline.  A plan also
+carries the recovery knobs (``retry`` and ``warmup_s``) the run's
+recovery manager reads.
 
 Spec grammar (comma-separated items, colon-separated fields)::
 
@@ -206,7 +208,7 @@ class FaultPlan:
         """The full schedule (explicit + expanded random), time-ordered.
 
         Random processes are expanded here, deterministically from their
-        seeds, because only the injector knows the pool's GIDs.
+        seeds, because only the run's pool knows its GIDs.
         """
         out = list(self.events)
         for spec in self._random_specs:

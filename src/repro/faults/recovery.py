@@ -1,11 +1,15 @@
-"""Self-healing recovery: health transitions, aborts and re-dispatch.
+"""Self-healing recovery: fault replay, health transitions, aborts and
+re-dispatch.
 
-The :class:`RecoveryManager` is the subsystem's control plane.  Fault
-events (driven by the :class:`~repro.faults.injector.FaultInjector`) call
-into it to flip DST health states, kill backend processes and abort the
-sessions caught on a failed device; the harness wraps each request driver
-in :meth:`RecoveryManager.run_resilient`, which re-dispatches aborted
-requests to surviving GPUs with capped exponential backoff.
+The :class:`RecoveryManager` is the subsystem's control plane, one per
+run.  :meth:`RecoveryManager.start` replays the run's
+:class:`~repro.faults.plan.FaultPlan` in sim time; each event flips DST
+health states, kills backend processes and aborts the sessions caught on
+a failed device, which it finds in the runner's open-session table.  The
+runner's request body asks :meth:`RecoveryManager.redispatch` for a
+backoff (or a "lost" verdict) whenever a request fails with a retryable
+error, so aborted requests are re-dispatched to surviving GPUs with
+capped exponential backoff.
 
 Calibration caveats (see DESIGN.md §Fault Model):
 
@@ -20,58 +24,56 @@ Calibration caveats (see DESIGN.md §Fault Model):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.sim import Environment
 from repro.cuda.errors import CudaError, CudaErrorCode
 from repro.core.gpool import DeviceHealth
 from repro.core.packer import ContextPacker
-from repro.apps.models import run_request
 from repro.faults.errors import (
     BackendCrashError,
     DeviceLostError,
     FaultError,
     LinkPartitionError,
 )
-from repro.faults.plan import RetryPolicy
+from repro.faults.plan import FaultEvent, FaultPlan
 
 #: CUDA error codes a re-dispatch can cure: the op hit a torn-down worker
-#: (dead backend) rather than a programming error.
+#: (dead backend) or found no live device, rather than a programming error.
 RETRYABLE_CUDA = (
     CudaErrorCode.INVALID_RESOURCE_HANDLE,
     CudaErrorCode.NO_DEVICE,
 )
 
 
-def _retryable(exc: BaseException) -> bool:
+def retryable(exc: BaseException) -> bool:
+    """Whether a re-dispatch can cure ``exc``: an injected fault, or a CUDA
+    error from a dead backend or a dead device."""
     if isinstance(exc, FaultError):
         return True
     return isinstance(exc, CudaError) and exc.code in RETRYABLE_CUDA
 
 
 class RecoveryManager:
-    """Detects injected faults' blast radius and heals around it.
+    """Replays a fault plan against a scheduled system and heals around it.
 
-    Installed on a scheduled system (``system.faults = self``); every
-    bound :class:`~repro.core.sessions.ManagedSession` registers itself
-    via :meth:`track` so a device loss can abort exactly the sessions on
-    the failed GPU.
+    ``sessions`` is the runner's open-session table (session -> tenant
+    state, in open order): a device loss aborts the entries bound to the
+    failed GPU, a partition the entries it cuts in two.  The retry
+    budget and the DRAINING warm-up come from ``plan``.
     """
 
     def __init__(
         self,
         env: Environment,
         system,
-        retry: Optional[RetryPolicy] = None,
-        warmup_s: float = 5.0,
+        plan: FaultPlan,
+        sessions: Mapping[object, object],
     ) -> None:
         self.env = env
         self.system = system
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.warmup_s = warmup_s
-        system.faults = self
-
-        self._sessions: Set[object] = set()
+        self.plan = plan
+        self.sessions = sessions
 
         # Accounting (plain ints so summaries work with telemetry off).
         self.injected: Dict[str, int] = {}
@@ -85,15 +87,45 @@ class RecoveryManager:
         self._down_since: Dict[int, float] = {}
         self._outage_spans: Dict[int, object] = {}
 
-    # -- session registry (called by ManagedSession) ---------------------
+    # -- fault replay ----------------------------------------------------
 
-    def track(self, session) -> None:
-        """A session bound to a GPU; it is now in some fault's blast radius."""
-        self._sessions.add(session)
+    def start(self) -> None:
+        """Check the plan's targets against the pool, then spawn the
+        process that replays its events (none for an empty plan)."""
+        pool = self.system.pool
+        self.plan.check_targets(pool.gids(), [node.hostname for node in pool.nodes])
+        events = self.plan.events_for(pool.gids())
+        if events:
+            self.env.process(self._replay(events), name="fault-injector")
 
-    def untrack(self, session) -> None:
-        """The session released its binding (finish or abort cleanup)."""
-        self._sessions.discard(session)
+    def _replay(self, events: Sequence[FaultEvent]):
+        env = self.env
+        for ev in events:
+            if ev.t > env.now:
+                yield env.timeout(ev.t - env.now)
+            self._fire(ev)
+
+    def _fire(self, ev: FaultEvent) -> None:
+        # Events that carry a duration schedule their own healing action,
+        # so one gpu_fail item yields the whole outage-and-recovery arc.
+        if ev.kind == "gpu_fail":
+            self.fail_gpu(ev.gid, transient=ev.transient)
+            if ev.down_s is not None:
+                self._later(ev.down_s, lambda: self.recover_gpu(ev.gid))
+        elif ev.kind == "gpu_recover":
+            self.recover_gpu(ev.gid)
+        elif ev.kind == "backend_crash":
+            self.crash_backend(ev.gid, restart_s=ev.restart_s)
+        elif ev.kind == "link_degrade":
+            self.degrade_link(ev.latency_mult, ev.bandwidth_mult)
+            if ev.down_s is not None:
+                self._later(ev.down_s, self.restore_link)
+        elif ev.kind == "link_partition":
+            self.partition_host(ev.host)
+            if ev.down_s is not None:
+                self._later(ev.down_s, lambda: self.heal_host(ev.host))
+        else:  # pragma: no cover - FaultEvent validates kinds
+            raise ValueError(f"unknown fault kind {ev.kind!r}")
 
     # -- shared plumbing -------------------------------------------------
 
@@ -129,7 +161,7 @@ class RecoveryManager:
     def _victims(self, gid: int):
         return [
             s
-            for s in list(self._sessions)
+            for s in self.sessions
             if s.binding is not None and s.binding.gid == gid
         ]
 
@@ -186,7 +218,7 @@ class RecoveryManager:
         self._log("gpu_draining", gid=gid, penalty=penalty)
 
         def _warmup():
-            yield self.env.timeout(self.warmup_s)
+            yield self.env.timeout(self.plan.warmup_s)
             if row.health is DeviceHealth.DRAINING:
                 row.load_penalty = 0.0
                 row.health = DeviceHealth.HEALTHY
@@ -246,7 +278,7 @@ class RecoveryManager:
                 self._log("gpu_unhealthy", gid=row.gid, cause="link_partition")
         victims = [
             s
-            for s in list(self._sessions)
+            for s in self.sessions
             if s.binding is not None
             and (s.frontend_node.hostname == host)
             != (pool.gmap.lookup(s.binding.gid).hostname == host)
@@ -261,78 +293,57 @@ class RecoveryManager:
             if row.hostname == host and row.health is DeviceHealth.UNHEALTHY:
                 self.recover_gpu(row.gid)
 
-    # -- resilient request driver ----------------------------------------
+    # -- re-dispatch (asked by the runner's request body) ----------------
 
-    def run_resilient(self, node, req):
-        """Drive one request, re-dispatching on fault aborts (a process
-        body; its value is the :class:`~repro.apps.models.RequestResult`).
+    def redispatch(
+        self, req, session, exc: BaseException, attempt: int, first_fail: float
+    ) -> Optional[float]:
+        """Attempt ``attempt`` of ``req`` failed on ``session`` with the
+        retryable ``exc``: abort the session and return the backoff before
+        the next attempt, or None once the plan's ``retry.max_retries``
+        re-dispatches are spent (the request is lost).
 
-        Fault-class failures (and CUDA errors a re-dispatch can cure) are
-        retried up to ``retry.max_retries`` times with capped exponential
-        backoff; the balancing policy naturally steers the retry to a
-        surviving GPU because the failed one is no longer eligible.  Once
-        the budget is exhausted the request is lost and
-        ``cudaErrorDevicesUnavailable`` is surfaced to the submitter.
+        The balancing policy steers the next attempt to a surviving GPU
+        because the failed one is no longer eligible.  ``first_fail`` is
+        when the request first failed: a lost request charges its tenant
+        the time since.
         """
-        env = self.env
-        attempt = 0
-        first_fail = None
-        while True:
-            session = self.system.session(
-                req.app.short,
-                node,
-                tenant_id=req.tenant_id,
-                tenant_weight=req.tenant_weight,
+        from_gid = getattr(session.binding, "gid", None)
+        session.abort(exc)
+        tel = self.env.telemetry
+        if attempt > self.plan.retry.max_retries:
+            self.requests_lost += 1
+            self._downtime(req.tenant_id, self.env.now - first_fail)
+            if tel.enabled:
+                tel.counter("faults.requests_lost", app=req.app.short).inc()
+            self._log(
+                "request_lost",
+                app=req.app.short,
+                tenant=req.tenant_id,
+                attempts=attempt,
+                error=type(exc).__name__,
             )
-            try:
-                result = yield env.process(
-                    run_request(env, session, req.app, arrival_s=req.arrival_s)
-                )
-            except Exception as exc:  # noqa: BLE001 - classified below
-                if not _retryable(exc):
-                    raise
-                from_gid = getattr(getattr(session, "binding", None), "gid", None)
-                session.dispose()
-                attempt += 1
-                if first_fail is None:
-                    first_fail = env.now
-                tel = env.telemetry
-                if attempt > self.retry.max_retries:
-                    self.requests_lost += 1
-                    self._downtime(req.tenant_id, env.now - first_fail)
-                    if tel.enabled:
-                        tel.counter("faults.requests_lost", app=req.app.short).inc()
-                    self._log(
-                        "request_lost",
-                        app=req.app.short,
-                        tenant=req.tenant_id,
-                        attempts=attempt,
-                        error=type(exc).__name__,
-                    )
-                    raise CudaError(
-                        CudaErrorCode.DEVICES_UNAVAILABLE,
-                        f"request {req.app.short!r} lost after {attempt} attempts",
-                    ) from exc
-                self.retries += 1
-                if tel.enabled:
-                    tel.counter("faults.retries", app=req.app.short).inc()
-                self._log(
-                    "redispatch",
-                    app=req.app.short,
-                    tenant=req.tenant_id,
-                    attempt=attempt,
-                    from_gid=from_gid,
-                    error=type(exc).__name__,
-                )
-                yield env.timeout(self.retry.backoff_s(attempt))
-                continue
-            if attempt > 0:
-                self.requests_redispatched += 1
-                self._downtime(req.tenant_id, env.now - first_fail)
-                tel = env.telemetry
-                if tel.enabled:
-                    tel.counter("faults.redispatches", app=req.app.short).inc()
-            return result
+            return None
+        self.retries += 1
+        if tel.enabled:
+            tel.counter("faults.retries", app=req.app.short).inc()
+        self._log(
+            "redispatch",
+            app=req.app.short,
+            tenant=req.tenant_id,
+            attempt=attempt,
+            from_gid=from_gid,
+            error=type(exc).__name__,
+        )
+        return self.plan.retry.backoff_s(attempt)
+
+    def recovered(self, req, first_fail: float) -> None:
+        """``req`` completed after failing first at ``first_fail``."""
+        self.requests_redispatched += 1
+        self._downtime(req.tenant_id, self.env.now - first_fail)
+        tel = self.env.telemetry
+        if tel.enabled:
+            tel.counter("faults.redispatches", app=req.app.short).inc()
 
     def _downtime(self, tenant_id: str, seconds: float) -> None:
         self.tenant_downtime_s[tenant_id] = (
@@ -357,4 +368,4 @@ class RecoveryManager:
         }
 
 
-__all__ = ["RETRYABLE_CUDA", "RecoveryManager"]
+__all__ = ["RETRYABLE_CUDA", "RecoveryManager", "retryable"]

@@ -281,7 +281,10 @@ def _run_sessions(
     A driver process walks ``sessions`` (arrival-ordered, possibly lazy),
     spawning one process per request as each session arrives, and a
     counting barrier fires once the driver is exhausted and the last
-    in-flight request resolves.
+    in-flight request resolves.  Every request takes one body: it opens a
+    session on its node, records it in the open-session table and drives
+    :func:`run_request`, again after a backoff while a fault plan's
+    recovery manager grants one.
 
     Closed loop: tenant ``i`` of ``closed_loop`` runs ``closed_loop[i]``
     on node 0 as ``tenant{i}``, issuing its first request at t=0 and
@@ -290,13 +293,23 @@ def _run_sessions(
     barrier open until it exits, so the barrier cannot fire between two
     of its requests.
 
-    Churn: a session whose tenant departs mid-flight is killed with
-    :class:`~repro.traffic.TenantDeparted` via ``session.abort`` — the
-    scheduler evicts its RCB entry without emitting an SFT profile and
-    only that session's queued work is cancelled (see
-    ``ManagedSession.abort``).  The CUDA baseline's sessions cannot be
-    aborted (no scheduler to unwind) and simply run to completion, as do
-    requests routed through the fault-recovery path.
+    The open-session table maps each open session to its tenant
+    session's state, in open order.  Churn: when a tenant departs, its
+    entries are killed with :class:`~repro.traffic.TenantDeparted` via
+    ``session.abort`` — the scheduler evicts the RCB entry without
+    emitting an SFT profile and only that session's queued work is
+    cancelled (see ``ManagedSession.abort``) — and its requests count
+    ``aborted``, including one waiting out a retry backoff.  The CUDA
+    baseline's sessions cannot be aborted (no scheduler to unwind) and
+    simply run to completion.
+
+    Faults: under a plan (``fault_plan``, else the installed one), a
+    scheduled system gets a :class:`~repro.faults.RecoveryManager` that
+    replays the plan and aborts the table's entries in each fault's
+    blast radius.  A request failing with an error
+    :func:`~repro.faults.retryable` accepts is re-dispatched after the
+    backoff the manager returns, or counted ``failed`` once its retry
+    budget is spent.
     """
     tel = telemetry if telemetry is not None else obs.current()
     env = Environment(telemetry=tel)
@@ -311,15 +324,15 @@ def _run_sessions(
     if prewarm:
         prewarm_sft(system)
 
+    # Every open session -> its tenant session's state, in open order.
+    open_sessions: dict = {}
     # Fault injection (repro.faults): only scheduled systems have a gPool
     # to heal around — the CUDA baseline runs any plan as a no-op.
     plan = fault_plan if fault_plan is not None else faults.current_plan()
     recovery = None
     if plan is not None and getattr(system, "pool", None) is not None:
-        recovery = faults.RecoveryManager(
-            env, system, retry=plan.retry, warmup_s=plan.warmup_s
-        )
-        faults.FaultInjector(env, plan, recovery).start()
+        recovery = faults.RecoveryManager(env, system, plan, open_sessions)
+        recovery.start()
 
     # Continuous sampling: the sampler loops forever, which is safe
     # because the run ends at the barrier below.
@@ -356,73 +369,76 @@ def _run_sessions(
                 root.args["aborted"] = True
             root.finish(env.now)
 
-    def request_proc(req: Request, live: list, state: dict):
+    def request_proc(req: Request, state: dict):
         if req.arrival_s > env.now:
             yield env.timeout(req.arrival_s - env.now)
         try:
-            if state["departed"]:
-                run.aborted += 1
-                return
             node = nodes[min(req.node_index, len(nodes) - 1)]
-            if recovery is not None:
-                try:
-                    result = yield env.process(recovery.run_resilient(node, req))
-                except CudaError:
-                    # Retry budget exhausted: the request is lost (counted
-                    # in the availability summary), the run carries on.
-                    run.failed += 1
-                    return
-            else:
+            attempt = 0
+            first_fail = None
+            while not state["departed"]:
                 session = system.session(
                     req.app.short,
                     node,
                     tenant_id=req.tenant_id,
                     tenant_weight=req.tenant_weight,
                 )
-                live.append(session)
+                open_sessions[session] = state
                 try:
                     result = yield env.process(
                         run_request(env, session, req.app, arrival_s=req.arrival_s)
                     )
-                except TenantDeparted:
-                    run.aborted += 1
-                    _close_root_span(session)
-                    return
-                except CudaError:
-                    # An aborted session's in-flight work can surface as
-                    # a CudaError (its worker is torn down underneath
-                    # it); attribute that to the churn abort.  Anything
-                    # else is a real failure and must propagate.
-                    if not getattr(session, "aborted", False):
+                except (TenantDeparted, CudaError, faults.FaultError) as exc:
+                    del open_sessions[session]
+                    # A departure's abort surfaces as TenantDeparted or, from
+                    # the worker torn down underneath it, as a CudaError.
+                    if isinstance(exc, TenantDeparted) or (
+                        isinstance(exc, CudaError)
+                        and state["departed"]
+                        and getattr(session, "aborted", False)
+                    ):
+                        _close_root_span(session)
+                        break
+                    if recovery is None or not faults.retryable(exc):
                         raise
-                    run.aborted += 1
-                    _close_root_span(session)
-                    return
-                finally:
-                    live.remove(session)
-            run.completed += 1
-            latency = result.completion_s
-            run.latency_sum_s += latency
-            if latency > run.latency_max_s:
-                run.latency_max_s = latency
-            run.latency_hist.observe(latency)
-            run.per_app[result.app] = run.per_app.get(result.app, 0) + 1
-            if run.results is not None:
-                run.results.append(result)
+                    attempt += 1
+                    if first_fail is None:
+                        first_fail = env.now
+                    backoff = recovery.redispatch(req, session, exc, attempt, first_fail)
+                    if backoff is None:
+                        run.failed += 1  # retry budget spent: the request is lost
+                        return
+                    yield env.timeout(backoff)
+                    continue
+                del open_sessions[session]
+                if attempt:
+                    recovery.recovered(req, first_fail)
+                run.completed += 1
+                latency = result.completion_s
+                run.latency_sum_s += latency
+                if latency > run.latency_max_s:
+                    run.latency_max_s = latency
+                run.latency_hist.observe(latency)
+                run.per_app[result.app] = run.per_app.get(result.app, 0) + 1
+                if run.results is not None:
+                    run.results.append(result)
+                return
+            # The tenant departed: before an attempt, during one or
+            # during a retry backoff.
+            run.aborted += 1
         finally:
             finish_one()
 
-    def departure_watch(ts, live: list, state: dict):
+    def departure_watch(ts, state: dict):
         if ts.departure_s > env.now:
             yield env.timeout(ts.departure_s - env.now)
         state["departed"] = True
         exc = TenantDeparted(
             f"tenant {ts.tenant_id} departed at {ts.departure_s:.3f}s"
         )
-        for session in list(live):
-            abort = getattr(session, "abort", None)
-            if abort is not None:
-                abort(exc)
+        for session, owner in list(open_sessions.items()):
+            if owner is state and hasattr(session, "abort"):
+                session.abort(exc)
 
     def driver():
         nonlocal outstanding, driver_done
@@ -432,18 +448,13 @@ def _run_sessions(
             run.sessions += 1
             if ts.churned:
                 run.churned_sessions += 1
-            live: list = []
             state = {"departed": False}
             for req in ts.requests:
                 run.offered += 1
                 outstanding += 1
-                env.process(
-                    request_proc(req, live, state), name=f"req:{req.app.short}"
-                )
+                env.process(request_proc(req, state), name=f"req:{req.app.short}")
             if ts.churned:
-                env.process(
-                    departure_watch(ts, live, state), name=f"churn:{ts.tenant_id}"
-                )
+                env.process(departure_watch(ts, state), name=f"churn:{ts.tenant_id}")
         driver_done = True
         if outstanding == 0 and not done.triggered:
             done.succeed()
@@ -453,12 +464,11 @@ def _run_sessions(
     # starts without a hop through a per-request process.
     def tenant_loop(app: AppSpec, tenant_id: str):
         nonlocal outstanding
-        live: list = []
         state = {"departed": False}
         while True:
             run.offered += 1
             outstanding += 1
-            yield from request_proc(Request(app, env.now, tenant_id=tenant_id), live, state)
+            yield from request_proc(Request(app, env.now, tenant_id=tenant_id), state)
             if env.now >= horizon_s:
                 break
         finish_one()

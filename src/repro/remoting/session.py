@@ -81,12 +81,6 @@ class GpuSession(abc.ABC):
     def synchronize(self) -> Event:
         """The application's ``cudaDeviceSynchronize()``."""
 
-    def dispose(self) -> None:
-        """Release any resources the session still holds, without the
-        graceful ``finish`` protocol.  Used by the fault-recovery manager
-        before re-dispatching a request; managed sessions override this,
-        the base implementation has nothing to release."""
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} app={self.app_name!r}>"
 

@@ -1,15 +1,9 @@
 """Traffic generation: a seeded :class:`TrafficSpec` made executable.
 
 A :class:`TrafficGenerator` binds a spec to a seed and produces
-
-* :meth:`sessions` — the lazy, arrival-ordered stream of
-  :class:`~repro.traffic.population.TenantSession`\\ s the open-loop
-  harness runner drives (re-iterable: every pass replays the identical
-  seeded draw);
-* :meth:`request_stream` — the same traffic flattened into a lazy,
-  arrival-ordered :class:`~repro.workloads.streams.LazyRequestStream`
-  (session requests interleave across sessions, merged with a bounded
-  heap that only ever holds the *overlapping* sessions, never the run).
+:meth:`~TrafficGenerator.sessions`, the lazy, arrival-ordered stream of
+:class:`~repro.traffic.population.TenantSession`\\ s the harness runner
+drives (re-iterable: every pass replays the identical seeded draw).
 
 Generation is O(active sessions) in memory however long the run: 10^5
 to 10^6 requests never materialize as a list.
@@ -17,12 +11,10 @@ to 10^6 requests never materialize as a list.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator
 
 from repro.sim.rng import RandomStream
 from repro.apps.catalog import app_by_short
-from repro.workloads.streams import LazyRequestStream, Request
 from repro.traffic.population import TenantPopulation, TenantSession
 from repro.traffic.spec import TrafficSpec
 
@@ -54,10 +46,6 @@ class TrafficGenerator:
     def offered_rate_rps(self) -> float:
         return self.spec.offered_rate_rps
 
-    @property
-    def expected_requests(self) -> int:
-        return self.spec.expected_requests
-
     def scaled(self, multiplier: float) -> "TrafficGenerator":
         """The same scenario and seed at ``multiplier`` x the rate."""
         return TrafficGenerator(self.spec.scaled(multiplier), self.seed)
@@ -71,43 +59,6 @@ class TrafficGenerator:
         """Lazy arrival-ordered tenant sessions (fresh seeded pass)."""
         return self.population.sessions(
             self.spec.process, self._rng(), self.spec.duration_s
-        )
-
-    def iter_requests(self) -> Iterator[Request]:
-        """All request arrivals in global arrival order, lazily.
-
-        Sessions are sorted by arrival but their request runs overlap, so
-        a streaming k-way merge keeps a heap of just the sessions whose
-        windows straddle the next emission time.
-        """
-        heap: list = []  # (next_arrival, session_id, index, requests)
-        sessions = self.sessions()
-        pending = next(sessions, None)
-        while pending is not None or heap:
-            # Admit every session that starts before the earliest queued
-            # request: after that the heap head is globally next.
-            while pending is not None and (
-                not heap or pending.arrival_s <= heap[0][0]
-            ):
-                heapq.heappush(
-                    heap,
-                    (pending.requests[0].arrival_s, pending.session_id, 0,
-                     pending.requests),
-                )
-                pending = next(sessions, None)
-            if not heap:
-                continue
-            t, sid, idx, reqs = heapq.heappop(heap)
-            yield reqs[idx]
-            if idx + 1 < len(reqs):
-                heapq.heappush(heap, (reqs[idx + 1].arrival_s, sid, idx + 1, reqs))
-
-    def request_stream(self) -> LazyRequestStream:
-        """The flattened traffic as a lazy request stream."""
-        return LazyRequestStream(
-            self.iter_requests,
-            horizon_s=self.spec.duration_s,
-            expected_requests=self.spec.expected_requests,
         )
 
 

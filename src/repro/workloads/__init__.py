@@ -7,22 +7,14 @@ runtime; 24 pairs labelled A..X combine each Group A (long) app with each
 Group B (short) app in Table I order.
 """
 
-from repro.workloads.streams import (
-    LazyRequestStream,
-    Request,
-    RequestStream,
-    exponential_stream,
-    merge_lazy,
-)
+from repro.workloads.streams import Request, RequestStream, exponential_stream
 from repro.workloads.pairs import PAIRS, pair_apps, pair_label
 
 __all__ = [
-    "LazyRequestStream",
     "PAIRS",
     "Request",
     "RequestStream",
     "exponential_stream",
-    "merge_lazy",
     "pair_apps",
     "pair_label",
 ]

@@ -9,9 +9,8 @@ queues of the paper's service model.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import List, Optional
 
 from repro.apps.models import AppSpec
 from repro.sim.rng import RandomStream
@@ -44,79 +43,6 @@ class RequestStream:
     def horizon_s(self) -> float:
         """Arrival time of the last request."""
         return self.requests[-1].arrival_s if self.requests else 0.0
-
-    def merged_with(self, other: "RequestStream") -> "RequestStream":
-        """Interleave two streams by arrival time."""
-        return RequestStream.merge_many([self, other])
-
-    @staticmethod
-    def merge_many(streams: Iterable["RequestStream"]) -> "RequestStream":
-        """k-way merge of already-sorted streams by arrival time.
-
-        One :func:`heapq.merge` pass over all inputs — O(n log k) —
-        instead of the O(n^2 log n) that chaining pairwise
-        :meth:`merged_with` costs at generator scale.
-        """
-        return RequestStream(
-            list(heapq.merge(*streams, key=lambda r: r.arrival_s))
-        )
-
-
-class LazyRequestStream:
-    """An iterator-based request stream that never materializes.
-
-    The lazy counterpart of :class:`RequestStream` for production-scale
-    open-loop runs (``repro.traffic``): ``factory`` rebuilds the seeded
-    request iterator on every ``__iter__``, so the stream is re-iterable
-    (byte-stable replays) while holding no request list — 10^6 arrivals
-    cost O(1) memory.  ``horizon_s`` is the *declared* sim-time bound of
-    the stream (the duration horizon of a traffic spec), standing in for
-    the last-arrival time a materialized stream can read off its list;
-    the live console derives progress/ETA from it when the total request
-    count is unknown.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[], Iterator[Request]],
-        horizon_s: float,
-        expected_requests: Optional[int] = None,
-    ) -> None:
-        if horizon_s < 0:
-            raise ValueError(f"horizon_s must be >= 0, got {horizon_s}")
-        self._factory = factory
-        self._horizon_s = float(horizon_s)
-        #: Nominal request count (rate x horizon), for sizing/reporting
-        #: only — the actual seeded draw decides what arrives.
-        self.expected_requests = expected_requests
-
-    def __iter__(self) -> Iterator[Request]:
-        return iter(self._factory())
-
-    @property
-    def horizon_s(self) -> float:
-        """The stream's declared sim-time bound (not the last arrival)."""
-        return self._horizon_s
-
-
-def merge_lazy(
-    streams: Iterable["LazyRequestStream"],
-) -> "LazyRequestStream":
-    """k-way lazy merge of sorted lazy streams (heapq.merge, no lists)."""
-    streams = list(streams)
-
-    def factory() -> Iterator[Request]:
-        return heapq.merge(*streams, key=lambda r: r.arrival_s)
-
-    return LazyRequestStream(
-        factory,
-        horizon_s=max((s.horizon_s for s in streams), default=0.0),
-        expected_requests=(
-            sum(s.expected_requests for s in streams)
-            if all(s.expected_requests is not None for s in streams) and streams
-            else None
-        ),
-    )
 
 
 def exponential_stream(
@@ -161,9 +87,7 @@ def exponential_stream(
 
 
 __all__ = [
-    "LazyRequestStream",
     "Request",
     "RequestStream",
     "exponential_stream",
-    "merge_lazy",
 ]

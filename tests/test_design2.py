@@ -12,9 +12,9 @@ from repro.core.policies import GMin
 from repro.core.sessions import Design2Session
 from repro.core.translation import QueuedStreamSync, StagedAsyncCopy
 from repro.apps import app_by_short, run_request
-from repro.faults import RecoveryManager, RetryPolicy
-from repro.harness.runner import system_factories
-from repro.workloads import Request
+from repro.faults import parse_fault_spec
+from repro.harness.runner import run_stream_experiment, system_factories
+from repro.workloads import Request, RequestStream
 
 
 def _run(system_cls, shorts, testbed=build_single_gpu_server, **kw):
@@ -64,14 +64,30 @@ def test_design2_uses_packed_context_translations():
 
 
 def test_design2_teardown_keeps_shared_thread_alive():
-    env, nodes, system, sessions, results = _run(Design2System, ["BS", "GA"])
-    gid = sessions[0].binding.gid
-    entry = system.pool.gmap.lookup(gid)
+    env = Environment()
+    nodes, net = build_single_gpu_server(env)
+    system = Design2System(env, nodes, net, balancing=GMin())
+    sessions = [
+        system.session(short, nodes[0], tenant_id=f"t{i}")
+        for i, short in enumerate(["BS", "GA"])
+    ]
+
+    def tenant(sess):
+        try:
+            yield env.process(run_request(env, sess, app_by_short(sess.app_name)))
+        except RuntimeError:
+            pass  # the abort below
+
+    for sess in sessions:
+        env.process(tenant(sess))
+    env.run(until=1.0)  # both tenants bound and mid-run (they end ~2-3 s)
+    entry = system.pool.gmap.lookup(sessions[0].binding.gid)
     master = system.daemons[entry.hostname].design2_master(entry.local_id)
     for sess in sessions:
-        sess.dispose()
+        sess.abort(RuntimeError("tenant gone"))
     env.run()
     # Both tenants are gone; the device's master thread must survive.
+    assert all(s.aborted for s in sessions)
     assert not master.thread.exited
     assert all(s.packed is None for s in sessions)
 
@@ -123,56 +139,53 @@ def test_design2_long_tenant_not_hurt():
 
 
 def test_design2_master_survives_backend_crash_and_respawns():
-    env = Environment()
-    nodes, net = build_single_gpu_server(env)
-    system = Design2System(env, nodes, net, balancing=GMin())
-    rec = RecoveryManager(
-        env, system, retry=RetryPolicy(max_retries=8, base_backoff_s=0.05),
-        warmup_s=0.5,
+    captured = {}
+
+    def factory(env, nodes, net):
+        system = Design2System(env, nodes, net, balancing=GMin())
+        entry = system.pool.gmap.lookup(0)
+        daemon = system.daemons[entry.hostname]
+        captured.update(system=system, daemon=daemon, local_id=entry.local_id)
+
+        def watch():
+            yield env.timeout(0.9)  # just before the crash at t=1
+            captured["old_master"] = daemon._masters.get(entry.local_id)
+            yield env.timeout(0.11)  # just after it, before any retry
+            captured["after_crash"] = daemon._masters.get(entry.local_id)
+
+        env.process(watch())
+        return system
+
+    streams = [
+        RequestStream([
+            Request(app_by_short(short), 0.1 * i, tenant_id=f"t{i}")
+            for i, short in enumerate(["MC", "BS", "GA"])
+        ])
+    ]
+    plan = parse_fault_spec(
+        "backend_crash@1:gid=0:restart=0.5,retries=8,backoff=0.05,warmup=0.5"
     )
-    system.faults = rec
-
-    entry = system.pool.gmap.lookup(0)
-    daemon = system.daemons[entry.hostname]
-
-    results = []
-
-    def driver(short, tenant, arrival_s):
-        def _gen():
-            yield env.timeout(arrival_s)
-            req = Request(app=app_by_short(short), arrival_s=env.now, tenant_id=tenant)
-            res = yield env.process(rec.run_resilient(nodes[0], req))
-            results.append(res)
-
-        return env.process(_gen())
-
-    for i, short in enumerate(["MC", "BS", "GA"]):
-        driver(short, f"t{i}", 0.1 * i)
-
-    crashed = {}
-
-    def crash():
-        yield env.timeout(1.0)
-        crashed["old_master"] = daemon.design2_master(entry.local_id)
-        rec.crash_backend(0, restart_s=0.5)
-        # The crash forgets the device process and its master.
-        assert daemon._masters.get(entry.local_id) is None
-
-    env.process(crash())
-    env.run()
+    run = run_stream_experiment(
+        factory, streams, build_single_gpu_server, fault_plan=plan
+    )
+    system, daemon = captured["system"], captured["daemon"]
 
     # Every request completed despite the mid-run crash.
-    assert len(results) == 3
-    assert all(r.finish_s > 0 for r in results)
-    summary = rec.summary()
+    assert run.completed == len(run.results) == 3
+    assert all(r.finish_s > 0 for r in run.results)
+    summary = run.faults_summary
     assert summary["requests_lost"] == 0
     assert summary["requests_redispatched"] > 0
     assert system.pool.dst.row(0).health is DeviceHealth.HEALTHY
 
-    # Re-binding after the restart spawned a *fresh* master on a fresh
-    # process; the dead master's thread went down with its process.
-    new_master = daemon._masters.get(entry.local_id)
+    # The crash forgets the device process and its master; re-binding
+    # after the restart spawned a *fresh* master on a fresh process, and
+    # the dead master's thread went down with its process.
+    old_master = captured["old_master"]
+    assert old_master is not None
+    assert captured["after_crash"] is None
+    new_master = daemon._masters.get(captured["local_id"])
     assert new_master is not None
-    assert new_master is not crashed["old_master"]
-    assert crashed["old_master"].thread.exited
+    assert new_master is not old_master
+    assert old_master.thread.exited
     assert not new_master.thread.exited

@@ -5,14 +5,17 @@ import pytest
 import repro.cluster.network as network_mod
 import repro.faults as faults
 from repro.sim import Environment
-from repro.cluster import Network, build_paper_supernode, build_small_server
-from repro.cuda.errors import CudaError, CudaErrorCode
+from repro.cluster import (
+    Network,
+    build_paper_supernode,
+    build_single_gpu_server,
+    build_small_server,
+)
 from repro.apps.catalog import app_by_short
 from repro.core.gpool import DeviceHealth
 from repro.core.policies.balancing import GMin, GRR, placeable_rows
 from repro.core.systems import StringsSystem
 from repro.faults import (
-    DeviceLostError,
     FaultPlan,
     RecoveryManager,
     RetryPolicy,
@@ -23,7 +26,7 @@ from repro.harness.runner import SCALE_QUICK, run_stream_experiment, system_fact
 from repro.obs import Telemetry
 from repro.remoting.backend import BackendDaemon
 from repro.sim.rng import RandomStream
-from repro.workloads import Request, exponential_stream
+from repro.workloads import Request, RequestStream, exponential_stream
 
 
 # ---------------------------------------------------------------------------
@@ -259,60 +262,33 @@ def test_scheduler_evict_is_idempotent_and_emits_no_profile():
 # ---------------------------------------------------------------------------
 
 
-class _AlwaysFailingSystem:
-    """A stand-in system whose sessions die on bind with a device loss."""
-
-    def __init__(self, env):
-        self.env = env
-        self.faults = None
-
-    def session(self, app_name, node, tenant_id="t0", tenant_weight=1.0):
-        env = self.env
-
-        class _Sess:
-            def __init__(self):
-                self.tenant_id = tenant_id
-                self.root_span = None
-
-            def bind(self, programmed_device=0):
-                def _gen():
-                    yield env.timeout(0)
-                    raise DeviceLostError(0)
-
-                return env.process(_gen())
-
-            def dispose(self):
-                pass
-
-        return _Sess()
-
-
 def test_retry_budget_exhaustion_surfaces_devices_unavailable():
-    env = Environment()
-    system = _AlwaysFailingSystem(env)
-    rec = RecoveryManager(
-        env, system, retry=RetryPolicy(max_retries=2, base_backoff_s=0.05)
+    """With the only GPU down for good, every attempt binds to it (the
+    placement fallback), fails fast with a retryable NO_DEVICE, and the
+    third attempt spends the two-retry budget: the request is lost,
+    counted ``failed`` and ``requests_lost``, not raised."""
+    tel = Telemetry()
+    plan = parse_fault_spec("gpu_fail@0:gid=0,retries=2,backoff=0.05")
+    stream = RequestStream([Request(app_by_short("MC"), 0.0, tenant_id="t9")])
+    run = run_stream_experiment(
+        system_factories()["GMin-Strings"], [stream], build_single_gpu_server,
+        telemetry=tel, fault_plan=plan,
     )
-    req = Request(app=app_by_short("MC"), arrival_s=0.0, tenant_id="t9")
-    caught = []
-
-    def driver():
-        try:
-            yield env.process(rec.run_resilient(None, req))
-        except CudaError as exc:
-            caught.append(exc)
-
-    env.process(driver())
-    env.run()
-    assert len(caught) == 1
-    assert caught[0].code is CudaErrorCode.DEVICES_UNAVAILABLE
-    # 3 attempts: backoffs 0.05 + 0.1 between them.
-    assert env.now == pytest.approx(0.15)
-    summary = rec.summary()
-    assert summary["requests_lost"] == 1
+    rows = [
+        e for e in tel.decisions.events
+        if e.kind == "fault" and e.name in ("redispatch", "request_lost")
+    ]
+    assert [e.name for e in rows] == ["redispatch", "redispatch", "request_lost"]
+    # Backoffs 0.05 then 0.1 between the three attempts.
+    assert [e.t for e in rows] == pytest.approx([0.0, 0.05, 0.15], abs=1e-3)
+    assert rows[-1].args["attempts"] == 3
+    assert {e.args["error"] for e in rows} == {"CudaError"}
+    assert run.completed == 0 and run.failed == 1 and run.offered == 1
+    summary = run.faults_summary
     assert summary["retries"] == 2
+    assert summary["requests_lost"] == 1
     assert summary["requests_redispatched"] == 0
-    assert summary["tenant_downtime_s"]["t9"] > 0
+    assert summary["tenant_downtime_s"]["t9"] == pytest.approx(0.15, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +332,7 @@ def test_chaos_main_prints_availability(capsys):
 def test_gpu_fail_recover_cycle_reaches_healthy_again():
     env = Environment()
     system = _supernode_system(env)
-    rec = RecoveryManager(env, system, warmup_s=1.0)
+    rec = RecoveryManager(env, system, FaultPlan(warmup_s=1.0), {})
     dst = system.pool.dst
 
     def script():
@@ -378,7 +354,7 @@ def test_gpu_fail_recover_cycle_reaches_healthy_again():
 def test_link_partition_marks_remote_gpus_and_heals():
     env = Environment()
     system = _supernode_system(env)
-    rec = RecoveryManager(env, system, warmup_s=0.5)
+    rec = RecoveryManager(env, system, FaultPlan(warmup_s=0.5), {})
 
     def script():
         yield env.timeout(1.0)

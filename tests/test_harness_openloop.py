@@ -12,11 +12,14 @@ The load-bearing churn properties:
 
 import pytest
 
-from repro.cluster import build_paper_supernode
+from repro.apps.catalog import app_by_short
+from repro.cluster import build_paper_supernode, build_single_gpu_server
 from repro.core.policies import GMin
 from repro.core.systems import CudaRuntimeSystem, StringsSystem
+from repro.faults import parse_fault_spec
 from repro.obs import Telemetry, attach_store
-from repro.traffic import TrafficGenerator, parse_traffic_spec
+from repro.traffic import TenantSession, TrafficGenerator, parse_traffic_spec
+from repro.workloads import Request
 from repro.harness.runner import run_open_loop_experiment
 
 #: Churn-heavy scenario: mean lifetime (8 s) is comparable to a request
@@ -28,7 +31,7 @@ def make_gen(spec_txt=CHURNY, seed=42):
     return TrafficGenerator(parse_traffic_spec(spec_txt), seed=seed)
 
 
-def run(gen, tel=None, factory=None, **kw):
+def run(gen, tel=None, factory=None, testbed=build_paper_supernode, **kw):
     captured = {}
 
     def default_factory(env, nodes, net):
@@ -39,7 +42,7 @@ def run(gen, tel=None, factory=None, **kw):
     res = run_open_loop_experiment(
         factory if factory is not None else default_factory,
         gen,
-        build_paper_supernode,
+        testbed,
         label="openloop-test",
         telemetry=tel if tel is not None else Telemetry(),
         **kw,
@@ -72,6 +75,54 @@ def test_departing_sessions_evict_without_sft_pollution():
     # The no-pollution property: the SFT saw exactly one profile per
     # *completed* request — aborted runs fed nothing back.
     assert system.sft.updates == res.completed
+
+
+def test_a_plan_that_injects_nothing_keeps_churn():
+    # Under a plan with no events every request still runs through the
+    # one runner body, so departures abort exactly as without a plan.
+    plain, _ = run(make_gen())
+    planned, _ = run(make_gen(), fault_plan=parse_fault_spec("retries=4"))
+    assert plain.aborted > 0
+    for attr in ("offered", "completed", "aborted", "failed", "latency_sum_s"):
+        assert getattr(planned, attr) == getattr(plain, attr), attr
+    assert planned.faults_summary["retries"] == 0
+
+
+def test_churn_and_faults_together_conserve_requests():
+    plan = parse_fault_spec(
+        "gpu_fail@5:gid=1:down=10,backend_crash@15:gid=0:restart=2,retries=4"
+    )
+    res, _ = run(make_gen(), fault_plan=plan)
+    assert res.offered == res.completed + res.aborted + res.failed
+    assert res.aborted > 0
+    assert res.faults_summary["retries"] > 0
+
+
+def test_departure_during_a_retry_backoff_aborts_without_downtime():
+    # The only GPU is down for good, so every attempt fails fast and
+    # backs off (0.05, 0.1, 0.2, 0.4, 0.8 s); the tenant leaves at t=1,
+    # inside the fifth backoff.
+    app = app_by_short("MC")
+
+    class OneTenant:
+        duration_s = 1.0
+
+        def sessions(self):
+            return iter([TenantSession(
+                session_id=0, tenant_id="t0", app=app, arrival_s=0.0,
+                departure_s=1.0, requests=(Request(app, 0.0, tenant_id="t0"),),
+            )])
+
+    res, _ = run(
+        OneTenant(), factory=lambda env, nodes, net: StringsSystem(env, nodes, net),
+        testbed=build_single_gpu_server,
+        fault_plan=parse_fault_spec("gpu_fail@0:gid=0,retries=8,backoff=0.05"),
+    )
+    assert (res.offered, res.aborted, res.completed, res.failed) == (1, 1, 0, 0)
+    summary = res.faults_summary
+    assert summary["retries"] == 5
+    assert summary["requests_lost"] == summary["requests_redispatched"] == 0
+    assert summary["tenant_downtime_s"] == {}
 
 
 def test_accounting_and_latency_aggregates():

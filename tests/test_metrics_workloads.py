@@ -166,16 +166,6 @@ def test_exponential_stream_explicit_lambda():
     assert s.horizon_s < 300
 
 
-def test_stream_merge_sorted():
-    rng = RandomStream(3)
-    a = exponential_stream(app_by_short("MC"), rng.spawn(1), 20)
-    b = exponential_stream(app_by_short("DC"), rng.spawn(2), 20)
-    m = a.merged_with(b)
-    arr = [r.arrival_s for r in m]
-    assert arr == sorted(arr)
-    assert len(m) == 40
-
-
 def test_stream_validation():
     rng = RandomStream(1)
     with pytest.raises(ValueError):
@@ -188,72 +178,3 @@ def test_streams_reproducible_under_seed():
     a = exponential_stream(app_by_short("MC"), RandomStream(5, "x"), 30)
     b = exponential_stream(app_by_short("MC"), RandomStream(5, "x"), 30)
     assert [r.arrival_s for r in a] == [r.arrival_s for r in b]
-
-
-# -- k-way merge and lazy streams (ISSUE 8) -----------------------------------
-
-
-def test_merge_many_k_way():
-    from repro.workloads import RequestStream
-
-    rng = RandomStream(4)
-    streams = [
-        exponential_stream(app_by_short(short), rng.spawn(i), 15)
-        for i, short in enumerate(("MC", "DC", "GA", "SN"))
-    ]
-    m = RequestStream.merge_many(streams)
-    arr = [r.arrival_s for r in m]
-    assert arr == sorted(arr)
-    assert len(m) == 60
-    # Pairwise chaining agrees exactly (merge is stable on arrival time).
-    chained = streams[0]
-    for s in streams[1:]:
-        chained = chained.merged_with(s)
-    assert [r.arrival_s for r in chained] == arr
-
-
-def test_merge_many_edge_cases():
-    from repro.workloads import RequestStream
-
-    assert len(RequestStream.merge_many([])) == 0
-    one = exponential_stream(app_by_short("MC"), RandomStream(9), 5)
-    assert [r.arrival_s for r in RequestStream.merge_many([one])] == [
-        r.arrival_s for r in one
-    ]
-
-
-def test_lazy_stream_reiterable_and_declares_horizon():
-    from repro.apps.models import AppSpec
-    from repro.workloads import LazyRequestStream, Request
-
-    app = app_by_short("GA")
-
-    def factory():
-        return (Request(app=app, arrival_s=float(i)) for i in range(5))
-
-    s = LazyRequestStream(factory, horizon_s=60.0, expected_requests=5)
-    assert s.horizon_s == 60.0  # declared bound, not last arrival
-    assert [r.arrival_s for r in s] == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert [r.arrival_s for r in s] == [0.0, 1.0, 2.0, 3.0, 4.0]  # re-iterable
-    with pytest.raises(ValueError):
-        LazyRequestStream(factory, horizon_s=-1.0)
-
-
-def test_merge_lazy_interleaves_without_materializing():
-    from repro.workloads import LazyRequestStream, Request, merge_lazy
-
-    app = app_by_short("GA")
-
-    def evens():
-        return (Request(app=app, arrival_s=float(i)) for i in range(0, 10, 2))
-
-    def odds():
-        return (Request(app=app, arrival_s=float(i)) for i in range(1, 10, 2))
-
-    m = merge_lazy([
-        LazyRequestStream(evens, horizon_s=10.0, expected_requests=5),
-        LazyRequestStream(odds, horizon_s=8.0, expected_requests=5),
-    ])
-    assert m.horizon_s == 10.0
-    assert m.expected_requests == 10
-    assert [r.arrival_s for r in m] == [float(i) for i in range(10)]

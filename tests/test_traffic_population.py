@@ -122,19 +122,13 @@ def test_generator_streams_lazily_and_deterministically():
         "poisson:rate=50,tenants=2000,churn=exp:120,duration=120"
     )
     gen = TrafficGenerator(spec, seed=42)
-    first = list(gen.iter_requests())
-    second = list(gen.iter_requests())  # re-iterable: fresh seeded pass
-    assert [r.arrival_s for r in first] == [r.arrival_s for r in second]
-    arrivals = [r.arrival_s for r in first]
-    assert arrivals == sorted(arrivals), "k-way merge keeps global order"
-    assert len(first) == pytest.approx(spec.expected_requests, rel=0.1)
-
-
-def test_generator_request_stream_declares_horizon():
-    gen = TrafficGenerator(parse_traffic_spec("poisson:rate=5,duration=60"), seed=1)
-    stream = gen.request_stream()
-    assert stream.horizon_s == 60.0
-    assert stream.expected_requests == 300
+    first = list(gen.sessions())
+    second = list(gen.sessions())  # re-iterable: fresh seeded pass
+    assert first == second
+    arrivals = [s.arrival_s for s in first]
+    assert arrivals == sorted(arrivals), "sessions arrive in order"
+    total = sum(len(s.requests) for s in first)
+    assert total == pytest.approx(spec.expected_requests, rel=0.1)
 
 
 def test_generator_spec_seed_overrides_harness_seed():
