@@ -163,9 +163,11 @@ def run_request(
     arrival_s: Optional[float] = None,
     programmed_device: int = 0,
 ):
-    """Drive one request through a session (a simulation process body).
+    """Drive one request through a session (a generator).
 
-    Returns a :class:`RequestResult` as the process value.
+    Each session call runs inline with ``yield from``, so the request
+    takes no process of its own beyond the one driving this generator
+    (the runner's ``request_proc``).  Returns a :class:`RequestResult`.
     """
     rid = next(_req_ids)
     arrived = env.now if arrival_s is None else arrival_s
@@ -185,7 +187,7 @@ def run_request(
         session.root_span = root
 
     bound_at = env.now
-    yield session.bind(programmed_device)
+    yield from session.bind(programmed_device)
     if root is not None:
         tel.start_span(
             bind_name,
@@ -208,7 +210,7 @@ def run_request(
                 start=started,
             ).finish(env.now)
 
-    ptr = yield session.malloc(spec.buffer_bytes)
+    ptr = yield from session.malloc(spec.buffer_bytes)
     cpu0 = env.now
     yield env.timeout(spec.cpu_pre_s)
     _cpu_span(cpu0)
@@ -218,18 +220,18 @@ def run_request(
             cpu0 = env.now
             yield env.timeout(spec.cpu_iter_s)
             _cpu_span(cpu0)
-        yield session.memcpy(spec.h2d_bytes, CopyKind.H2D)
-        yield session.launch(
+        yield from session.memcpy(spec.h2d_bytes, CopyKind.H2D)
+        yield from session.launch(
             spec.kernel_flops,
             spec.kernel_bytes_gb,
             spec.occupancy,
             tag=spec.short,
         )
-        yield session.synchronize()
-        yield session.memcpy(spec.d2h_bytes, CopyKind.D2H)
+        yield from session.synchronize()
+        yield from session.memcpy(spec.d2h_bytes, CopyKind.D2H)
 
-    yield session.free(ptr)
-    yield session.finish()
+    yield from session.free(ptr)
+    yield from session.finish()
     if root is not None:
         root.finish(env.now)
         completion = env.now - arrived

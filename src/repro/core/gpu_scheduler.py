@@ -69,15 +69,13 @@ class GpuScheduler:
     # -- Request Manager ------------------------------------------------------
 
     def register(self, app_name: str, tenant_id: str, tenant_weight: float = 1.0):
-        """Register an application (3-way handshake); returns a process
-        event whose value is the new :class:`RcbEntry`."""
-        return self.env.process(
-            self._register(app_name, tenant_id, tenant_weight),
-            name=f"register:{app_name}",
-        )
-
-    def _register(self, app_name: str, tenant_id: str, tenant_weight: float):
+        """Register an application (3-way handshake): a generator driven
+        with ``yield from``, whose value is the new :class:`RcbEntry`."""
         yield self.env.timeout(self.config.registration_overhead_s)
+        return self._register(app_name, tenant_id, tenant_weight)
+
+    def _register(self, app_name: str, tenant_id: str, tenant_weight: float) -> RcbEntry:
+        """Enter a handshaken application in the RCB."""
         entry = self.rcb.register(app_name, tenant_id, tenant_weight)
         if self.policy.gated:
             # Gated policies own the wake signal: threads start asleep and

@@ -19,7 +19,7 @@ DRAINING devices carry a warm-up ``load_penalty`` folded into
 table with the original loads, so the null fault path selects identically.
 Should *every* device be unhealthy, policies fall back to the full table
 rather than deadlock the arrival stream, and the session's bind then
-fails fast with a retryable ``NO_DEVICE`` (``ManagedSession._bind``).
+fails fast with a retryable ``NO_DEVICE`` (``ManagedSession.bind``).
 """
 
 from __future__ import annotations

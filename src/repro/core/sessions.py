@@ -122,24 +122,18 @@ class DirectSession(GpuSession):
 
     # -- lifecycle ----------------------------------------------------------
 
-    def bind(self, programmed_device: int = 0) -> Event:
-        def _bind():
-            self._proc = HostProcess(self.env, self.node.devices, name=self.app_name)
-            self._thread = self._proc.spawn_thread()
-            self._thread.set_device(programmed_device)
-            self._gid = programmed_device
-            yield self.env.timeout(0)
-            return programmed_device
+    def bind(self, programmed_device: int = 0):
+        self._proc = HostProcess(self.env, self.node.devices, name=self.app_name)
+        self._thread = self._proc.spawn_thread()
+        self._thread.set_device(programmed_device)
+        self._gid = programmed_device
+        yield self.env.timeout(0)
+        return programmed_device
 
-        return self.env.process(_bind(), name=f"bind:{self.app_name}")
-
-    def finish(self) -> Event:
-        def _finish():
-            yield self.env.timeout(0)
-            self._thread.thread_exit()
-            self._proc.teardown()
-
-        return self.env.process(_finish(), name=f"finish:{self.app_name}")
+    def finish(self):
+        yield self.env.timeout(0)
+        self._thread.thread_exit()
+        self._proc.teardown()
 
     # -- observability ------------------------------------------------------
 
@@ -187,36 +181,30 @@ class DirectSession(GpuSession):
 
     # -- calls ------------------------------------------------------------------
 
-    def malloc(self, nbytes: int) -> Event:
-        return self._obs_op(
-            self.env.process(
-                malloc_with_backpressure(self.env, self._thread, nbytes)
-            ),
-            GpuPhase.DFL.value,
-        )
+    def malloc(self, nbytes: int):
+        alloc = self.env.process(malloc_with_backpressure(self.env, self._thread, nbytes))
+        return (yield self._obs_op(alloc, GpuPhase.DFL.value))
 
-    def free(self, ptr: int) -> Event:
-        def _free():
-            yield self.env.timeout(0)
-            self._thread.free(ptr)
+    def free(self, ptr: int):
+        yield self.env.timeout(0)
+        self._thread.free(ptr)
 
-        return self.env.process(_free())
-
-    def memcpy(self, nbytes: int, kind: CopyKind) -> Event:
-        return self._obs_op(
+    def memcpy(self, nbytes: int, kind: CopyKind):
+        yield self._obs_op(
             self._thread.memcpy(nbytes, kind, tag=self.app_name), kind.value
         )
 
-    def launch(self, flops: float, bytes_accessed: float, occupancy: float = 1.0, tag: str = "") -> Event:
-        return self._obs_op(
+    def launch(self, flops: float, bytes_accessed: float, occupancy: float = 1.0, tag: str = ""):
+        # The bare runtime's app waits the kernel out.
+        yield self._obs_op(
             self._thread.launch_kernel(
                 flops, bytes_accessed, occupancy, tag=tag or self.app_name
             ),
             GpuPhase.KL.value,
         )
 
-    def synchronize(self) -> Event:
-        return self._obs_op(self._thread.device_synchronize(), GpuPhase.DFL.value)
+    def synchronize(self):
+        yield self._obs_op(self._thread.device_synchronize(), GpuPhase.DFL.value)
 
 
 class ManagedSession(GpuSession):
@@ -227,7 +215,9 @@ class ManagedSession(GpuSession):
     call issue, a :class:`TranslationStack` for call semantics, plus the
     affinity-mapper binding, the device-scheduler registration and the
     Request Monitor accounting.  Subclasses pick the translation stack
-    and the loop topology.
+    and the loop topology.  Each call is a generator the request drives
+    with ``yield from``: only the issue loop and the malloc retry loop
+    it waits on are processes.
     """
 
     #: Whether memcpys are translated to pinned-staged async copies (MOT).
@@ -479,10 +469,7 @@ class ManagedSession(GpuSession):
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def bind(self, programmed_device: int = 0) -> Event:
-        return self.env.process(self._bind(), name=f"bind:{self.app_name}")
-
-    def _bind(self):
+    def bind(self, programmed_device: int = 0):
         # cudaSetDevice intercepted -> forwarded to the affinity mapper.
         yield self.interposer.request()
         self._check_aborted()
@@ -501,19 +488,15 @@ class ManagedSession(GpuSession):
         # backend must not silently respawn its device process.
         self._check_aborted()
         self.worker = self._make_worker(gid)
-        reg = yield self.scheduler.register(
+        self.entry = yield from self.scheduler.register(
             self.app_name, self.tenant_id, self.tenant_weight
         )
-        self.entry = reg
         self._check_aborted()
         yield self.interposer.response()
         self._check_aborted()
         return gid
 
-    def finish(self) -> Event:
-        return self.env.process(self._finish(), name=f"finish:{self.app_name}")
-
-    def _finish(self):
+    def finish(self):
         if self._finished:
             return None
         self._finished = True
@@ -577,16 +560,11 @@ class ManagedSession(GpuSession):
 
     # -- memory -----------------------------------------------------------------------------
 
-    def malloc(self, nbytes: int) -> Event:
-        def _run():
-            yield self.interposer.roundtrip()
-            done = self._post(
-                GpuPhase.DFL, lambda: self._malloc_now(nbytes), blocking=True, gated=False
-            )
-            ptr = yield done
-            return ptr
-
-        return self.env.process(_run())
+    def malloc(self, nbytes: int):
+        yield self.interposer.roundtrip()
+        return (yield self._post(
+            GpuPhase.DFL, lambda: self._malloc_now(nbytes), blocking=True, gated=False
+        ))
 
     def _malloc_now(self, nbytes: int) -> Event:
         return self.env.process(
@@ -599,14 +577,11 @@ class ManagedSession(GpuSession):
             )
         )
 
-    def free(self, ptr: int) -> Event:
-        def _run():
-            yield self.interposer.roundtrip()
-            yield self._post(
-                GpuPhase.DFL, lambda: self._free_now(ptr), blocking=True, gated=False
-            )
-
-        return self.env.process(_run())
+    def free(self, ptr: int):
+        yield self.interposer.roundtrip()
+        yield self._post(
+            GpuPhase.DFL, lambda: self._free_now(ptr), blocking=True, gated=False
+        )
 
     def _free_now(self, ptr: int) -> Event:
         ev = self.env.event()
@@ -616,16 +591,14 @@ class ManagedSession(GpuSession):
 
     # -- work: delegated to the translation stack ---------------------------
 
-    def memcpy(self, nbytes: int, kind: CopyKind) -> Event:
-        return self.env.process(self.translation.copy.run(self, nbytes, kind))
+    def memcpy(self, nbytes: int, kind: CopyKind):
+        yield from self.translation.copy.run(self, nbytes, kind)
 
-    def launch(self, flops: float, bytes_accessed: float, occupancy: float = 1.0, tag: str = "") -> Event:
-        return self.env.process(
-            self.translation.launch.run(self, flops, bytes_accessed, occupancy, tag)
-        )
+    def launch(self, flops: float, bytes_accessed: float, occupancy: float = 1.0, tag: str = ""):
+        yield from self.translation.launch.run(self, flops, bytes_accessed, occupancy, tag)
 
-    def synchronize(self) -> Event:
-        return self.env.process(self.translation.sync.run(self))
+    def synchronize(self):
+        yield from self.translation.sync.run(self)
 
 
 class RainSession(ManagedSession):
@@ -676,8 +649,8 @@ class StringsSession(ManagedSession):
     def _set_packer(self, packer: ContextPacker) -> None:
         self._packer = packer
 
-    def _bind(self):
-        gid = yield from super()._bind()
+    def bind(self, programmed_device: int = 0):
+        gid = yield from super().bind(programmed_device)
         self.packed = self._packer.pack(self.worker, self.tenant_id)
         return gid
 

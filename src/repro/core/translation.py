@@ -22,9 +22,10 @@ sync      :class:`ContextSync` (native ``cudaDeviceSynchronize``) ·
           shared master thread*, stalling other tenants' queued calls)
 ========  =============================================================
 
-Each strategy's ``run`` is a generator driven as one sim process by
+Each strategy's ``run`` is a generator that
 :meth:`~repro.core.sessions.ManagedSession.memcpy` / ``launch`` /
-``synchronize``; it spends frontend costs through the session's
+``synchronize`` drive inline with ``yield from``; it spends frontend
+costs through the session's
 :class:`~repro.remoting.interposer.FrontendInterposer` and issues device
 work through :meth:`~repro.core.sessions.ManagedSession._post` onto the
 session's backend issue loop.  SC itself needs no strategy here: the

@@ -359,14 +359,15 @@ def _run_sessions(
         if driver_done and outstanding == 0 and not done.triggered:
             done.succeed()
 
-    def _close_root_span(session):
-        # An aborted request never reaches run_request's root.finish();
-        # close the span here (flagged) or the streaming store retains
-        # its whole span group — an O(aborts) leak over a long run.
-        root = getattr(session, "root_span", None)
+    def _close_root_span(session, flag: str):
+        # An aborted request or a failed attempt never reaches
+        # run_request's root.finish(); close the span here, flagged, or
+        # the streaming store retains its whole span group — an
+        # O(aborts) leak over a long run.
+        root = session.root_span
         if root is not None and not root.finished:
             if root.args is not None:
-                root.args["aborted"] = True
+                root.args[flag] = True
             root.finish(env.now)
 
     def request_proc(req: Request, state: dict):
@@ -385,8 +386,8 @@ def _run_sessions(
                 )
                 open_sessions[session] = state
                 try:
-                    result = yield env.process(
-                        run_request(env, session, req.app, arrival_s=req.arrival_s)
+                    result = yield from run_request(
+                        env, session, req.app, arrival_s=req.arrival_s
                     )
                 except (TenantDeparted, CudaError, faults.FaultError) as exc:
                     del open_sessions[session]
@@ -397,13 +398,14 @@ def _run_sessions(
                         and state["departed"]
                         and getattr(session, "aborted", False)
                     ):
-                        _close_root_span(session)
+                        _close_root_span(session, "aborted")
                         break
                     if recovery is None or not faults.retryable(exc):
                         raise
                     attempt += 1
                     if first_fail is None:
                         first_fail = env.now
+                    _close_root_span(session, "failed_attempt")
                     backoff = recovery.redispatch(req, session, exc, attempt, first_fail)
                     if backoff is None:
                         run.failed += 1  # retry budget spent: the request is lost

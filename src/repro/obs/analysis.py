@@ -235,8 +235,12 @@ class _CriticalPathProfiler:
         del self._root_of[rid]
         for ch in children:
             self._root_of.pop(ch.span_id, None)
-        phases, unatt = _blame_sweep(root.start, root.end, children)
         args = root.args or {}
+        if args.get("failed_attempt"):
+            # A re-dispatched or lost attempt: the request's blame is its
+            # completing attempt's (a lost request has none).
+            return
+        phases, unatt = _blame_sweep(root.start, root.end, children)
         blame = RequestBlame(
             rid=int(args.get("rid", -1)),
             app=str(args.get("app", "?")),

@@ -9,8 +9,9 @@ paper's benchmarks run unmodified under each runtime.
 
 Call semantics (mirroring CUDA):
 
-* ``memcpy`` is synchronous — the app driver ``yield``s its event;
-* ``launch`` is asynchronous — the driver continues and synchronizes later;
+* ``memcpy`` is synchronous — the call returns once the copy is done;
+* ``launch`` is asynchronous under a remoting runtime — the driver
+  continues and synchronizes later;
 * ``synchronize`` is the app's ``cudaDeviceSynchronize()`` call: what it
   actually waits on is up to the installed runtime (Strings' SST narrows
   it to the app's own stream).
@@ -19,14 +20,18 @@ Call semantics (mirroring CUDA):
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
-from repro.sim import Environment, Event
+from repro.sim import Environment
 from repro.simgpu import CopyKind
 
 
 class GpuSession(abc.ABC):
-    """One application's connection to a GPU runtime system."""
+    """One application's connection to a GPU runtime system.
+
+    Each call below is a generator method the request drives inline
+    (``ptr = yield from session.malloc(n)``), so a request is one
+    simulation process whatever stack it calls through.
+    """
 
     def __init__(self, env: Environment, app_name: str, tenant_id: str = "t0") -> None:
         self.env = env
@@ -40,31 +45,31 @@ class GpuSession(abc.ABC):
     # -- lifecycle ----------------------------------------------------------
 
     @abc.abstractmethod
-    def bind(self, programmed_device: int = 0) -> Event:
+    def bind(self, programmed_device: int = 0):
         """Process the app's ``cudaSetDevice(programmed_device)``.
 
-        A scheduling runtime may override the requested device.  The
-        returned event fires once the app is bound to a backend worker.
+        A scheduling runtime may override the requested device.  Returns
+        once the app is bound to a backend worker.
         """
 
     @abc.abstractmethod
-    def finish(self) -> Event:
+    def finish(self):
         """Process the app's ``cudaThreadExit()`` / exit teardown."""
 
     # -- memory ----------------------------------------------------------------
 
     @abc.abstractmethod
-    def malloc(self, nbytes: int) -> Event:
-        """``cudaMalloc``; the event's value is the device pointer."""
+    def malloc(self, nbytes: int):
+        """``cudaMalloc``; its value is the device pointer."""
 
     @abc.abstractmethod
-    def free(self, ptr: int) -> Event:
+    def free(self, ptr: int):
         """``cudaFree``."""
 
     # -- work ----------------------------------------------------------------------
 
     @abc.abstractmethod
-    def memcpy(self, nbytes: int, kind: CopyKind) -> Event:
+    def memcpy(self, nbytes: int, kind: CopyKind):
         """Synchronous ``cudaMemcpy`` as written by the application."""
 
     @abc.abstractmethod
@@ -74,11 +79,11 @@ class GpuSession(abc.ABC):
         bytes_accessed: float,
         occupancy: float = 1.0,
         tag: str = "",
-    ) -> Event:
-        """Asynchronous kernel launch; event fires at kernel completion."""
+    ):
+        """Kernel launch; returns once the runtime hands control back."""
 
     @abc.abstractmethod
-    def synchronize(self) -> Event:
+    def synchronize(self):
         """The application's ``cudaDeviceSynchronize()``."""
 
     def __repr__(self) -> str:

@@ -156,41 +156,41 @@ class GpuDevice:
     def submit(self, stream: GpuStream, op: Union[KernelOp, CopyOp]) -> Event:
         """Issue ``op`` on ``stream``; returns its completion event.
 
-        The op (1) waits for the stream's previous op, (2) acquires context
-        residency, (3) executes on the appropriate engine.  The returned
-        event's value is the engine's completion record (a dict with the
-        op, start/finish times and solo time).
+        The op is a callback chain, not a process: once the stream's
+        previous op is done it (1) acquires context residency, (2) runs on
+        the appropriate engine, (3) releases residency and fires the
+        returned event with the engine's completion record (a dict with
+        the op, start/finish times and solo time).
         """
         ctx = stream.context
         if ctx.destroyed:
             raise RuntimeError(f"context {ctx.ctx_id} has been destroyed")
         done = self.env.event()
         predecessor = stream.chain(done)
-        self.env.process(
-            self._op_body(stream, op, predecessor, done),
-            name=f"op:{op.op_id}:{self.spec.name}",
-        )
+        if predecessor is not None and not predecessor.processed:
+            predecessor.callbacks.append(lambda _prev: self._issue(ctx, op, done))
+        else:
+            self._issue(ctx, op, done)
         return done
 
-    def _op_body(
-        self,
-        stream: GpuStream,
-        op: Union[KernelOp, CopyOp],
-        predecessor: Optional[Event],
-        done: Event,
-    ):
-        if predecessor is not None and not predecessor.processed:
-            yield predecessor
-        yield self._acquire(stream.context)
-        try:
-            result = yield self._engine_for(op).execute(op)
-        finally:
-            self._release()
+    def _issue(self, ctx: GpuContext, op: Union[KernelOp, CopyOp], done: Event) -> None:
+        """Claim residency for ``op``; start it on its engine once granted."""
+        self._acquire(ctx).callbacks.append(lambda _grant: self._start(op, done))
+
+    def _start(self, op: Union[KernelOp, CopyOp], done: Event) -> None:
+        self._engine_for(op).execute(op).callbacks.append(
+            lambda finished: self._complete(op, done, finished.value)
+        )
+
+    def _complete(self, op: Union[KernelOp, CopyOp], done: Event, record: dict) -> None:
         if isinstance(op, KernelOp):
             self.kernels_completed += 1
         else:
             self.copies_completed += 1
-        done.succeed(result)
+        # Fire first, then release: a switch the release starts is
+        # scheduled behind the op's completion.
+        done.succeed(record)
+        self._release()
 
     def _engine_for(self, op: Union[KernelOp, CopyOp]):
         if isinstance(op, KernelOp):
@@ -253,16 +253,17 @@ class GpuDevice:
         if next_ctx is None:
             return
         self._switching = True
-        self.env.process(self._switch_to(next_ctx), name=f"ctxswitch:{self.spec.name}")
-
-    def _switch_to(self, ctx: GpuContext):
-        if self._resident is not None and self._resident is not ctx:
+        if self._resident is not None and self._resident is not next_ctx:
             self.ctx_switches += 1
-            yield self.env.timeout(self.spec.ctx_switch_s)
+            delay = self.spec.ctx_switch_s
         else:
             # First residency, or re-granting the same context after its
             # slice expired with no other waiters remaining: free.
-            yield self.env.timeout(0)
+            delay = 0
+        self.env.timeout(delay).callbacks.append(lambda _t: self._switched(next_ctx))
+
+    def _switched(self, ctx: GpuContext) -> None:
+        """The switch to ``ctx`` is done: grant its waiting ops."""
         self._switching = False
         self._resident = ctx
         self._resident_since = self.env.now

@@ -231,7 +231,13 @@ class SharedComputeEngine:
 
 
 class CopyEngine:
-    """A FIFO DMA engine for host/device transfers."""
+    """A FIFO DMA engine for host/device transfers.
+
+    A transfer is a callback chain, not a process: :meth:`execute`
+    queues a lane request, :meth:`_run` starts the transfer when the lane
+    is granted, and the transfer's timeout releases the lane and fires
+    the completion event.
+    """
 
     def __init__(
         self,
@@ -276,33 +282,35 @@ class CopyEngine:
         return busy
 
     def execute(self, op: CopyOp) -> Event:
-        """Run ``op`` through the engine; returns its completion event."""
-        return self.env.process(
-            self._run(op), name=f"copy:{self.label}:{op.op_id}"
-        )
+        """Queue ``op`` on the engine; returns its completion event."""
+        done = self.env.event()
+        slot = self._lane.request()
+        slot.callbacks.append(lambda _slot: self._run(op, slot, done))
+        return done
 
-    def _run(self, op: CopyOp):
+    def _run(self, op: CopyOp, slot, done: Event) -> None:
+        """Move ``op`` once ``slot`` holds the lane: the lane is released
+        and ``done`` fires with the completion record when it finishes."""
         env = self.env
-        with self._lane.request() as slot:
-            yield slot
-            start = env.now
-            self._busy_since = start
-            duration = op.solo_time(self.spec) + self.spec.copy_latency_s
-            if self.tracer is not None:
-                self.tracer.begin(("copy", op.op_id), start, tag=op.tag or self.label)
-            tel = self._tel
-            span = None
-            if tel.enabled:
-                meta = self._span_meta.get((op.tag, op.nbytes))
-                if meta is None:
-                    meta = (
-                        f"{self.label}:{op.tag}" if op.tag else self.label,
-                        {"app": op.tag, "bytes": op.nbytes},
-                    )
-                    if len(self._span_meta) < _SPAN_META_CAP:
-                        self._span_meta[(op.tag, op.nbytes)] = meta
-                span = tel.start_span(meta[0], "copy", self.track, None, meta[1])
-            yield env.timeout(duration)
+        start = env.now
+        self._busy_since = start
+        duration = op.solo_time(self.spec) + self.spec.copy_latency_s
+        if self.tracer is not None:
+            self.tracer.begin(("copy", op.op_id), start, tag=op.tag or self.label)
+        tel = self._tel
+        span = None
+        if tel.enabled:
+            meta = self._span_meta.get((op.tag, op.nbytes))
+            if meta is None:
+                meta = (
+                    f"{self.label}:{op.tag}" if op.tag else self.label,
+                    {"app": op.tag, "bytes": op.nbytes},
+                )
+                if len(self._span_meta) < _SPAN_META_CAP:
+                    self._span_meta[(op.tag, op.nbytes)] = meta
+            span = tel.start_span(meta[0], "copy", self.track, None, meta[1])
+
+        def _moved(_timeout: Event) -> None:
             if self.tracer is not None:
                 self.tracer.end(("copy", op.op_id), env.now)
             if span is not None:
@@ -311,12 +319,12 @@ class CopyEngine:
             self._busy_since = None
             self.completed += 1
             self.bytes_moved += op.nbytes
-        return {
-            "op": op,
-            "started_at": start,
-            "finished_at": env.now,
-            "solo_time": duration,
-        }
+            self._lane.release(slot)
+            done.succeed(
+                {"op": op, "started_at": start, "finished_at": env.now, "solo_time": duration}
+            )
+
+        env.timeout(duration).callbacks.append(_moved)
 
 
 __all__ = ["CopyEngine", "SharedComputeEngine"]

@@ -36,7 +36,7 @@ def register(env, sched, name, weight=1.0):
     holder = {}
 
     def _reg(env):
-        holder["entry"] = yield sched.register(name, "t", weight)
+        holder["entry"] = yield from sched.register(name, "t", weight)
 
     env.process(_reg(env))
     env.run(until=env.now + 0.001)

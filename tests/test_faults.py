@@ -247,8 +247,7 @@ def test_scheduler_evict_is_idempotent_and_emits_no_profile():
     env = Environment()
     system = _supernode_system(env)
     sched = system.schedulers[0]
-    reg = sched.register("MC", "t0")
-    entry = env.run(until=reg)
+    entry = env.run(until=env.process(sched.register("MC", "t0")))
     assert len(sched.rcb) == 1
     sched.evict(entry)
     assert len(sched.rcb) == 0
@@ -320,6 +319,21 @@ def test_chaos_scenario_loses_zero_requests():
         {"app", "tenant", "attempt", "from_gid", "error"} <= set(e.args)
         for e in redispatches
     )
+
+
+def test_chaos_failed_attempts_close_their_spans_and_stay_out_of_blame():
+    from repro.obs import profile_requests
+
+    tel = Telemetry()
+    data = chaos.run(SCALE_QUICK, telemetry=tel)
+    roots = [s for s in tel.spans if s.cat == "request"]
+    failed = [s for s in roots if s.args.get("failed_attempt")]
+    # One root per attempt: the completed requests plus each retry.
+    assert len(roots) == data["completed"] + data["retries"] == 24
+    assert [s for s in roots if not s.finished] == []
+    assert len(failed) == data["retries"] == 6
+    # Blame covers each completed request once, not its failed attempts.
+    assert len(profile_requests(tel).requests) == data["completed"] == 18
 
 
 def test_chaos_main_prints_availability(capsys):

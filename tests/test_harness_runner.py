@@ -1,5 +1,7 @@
 """Unit tests for the harness machinery (runner, format, pairsweep helpers)."""
 
+import os
+
 import pytest
 
 import repro.faults as faults
@@ -11,7 +13,7 @@ from repro.core.systems import StringsSystem
 from repro.sim.rng import RandomStream
 from repro.apps import app_by_short
 from repro.faults import parse_fault_spec
-from repro.workloads import exponential_stream
+from repro.workloads import Request, RequestStream, exponential_stream
 from repro.harness.format import format_series, format_table, geomean
 from repro.harness.pairsweep import family_of
 from repro.harness.runner import (
@@ -236,3 +238,34 @@ def test_format_series():
 
 def test_geomean():
     assert geomean([1.0, 4.0]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("label", ["CUDA", "GMin-Rain", "GMin-Design2", "GMin-Strings"])
+def test_a_request_runs_in_its_own_process_only(monkeypatch, label):
+    """Session calls run inline and device ops chain by callback: one more
+    request starts at most its request process, its session's backend
+    issue loop and its ``cudaMalloc`` retry loop."""
+    bodies = []
+    original = Environment.process
+
+    def counting(env, generator, name=None):
+        bodies.append(generator.gi_code)
+        return original(env, generator, name=name)
+
+    monkeypatch.setattr(Environment, "process", counting)
+    app = app_by_short("GA")
+    solo = app.solo_runtime_s()
+
+    def processes(n):
+        bodies.clear()
+        stream = RequestStream([Request(app, i * 2 * solo) for i in range(n)])
+        run = run_stream_experiment(system_factories()[label], [stream], build_small_server)
+        assert run.completed == n
+        return len(bodies)
+
+    assert processes(3) - processes(2) <= 3
+    for code in bodies:
+        path = code.co_filename.replace(os.sep, "/")
+        assert not path.endswith("repro/core/translation.py"), code.co_name
+        if "/repro/simgpu/" in path:
+            assert code.co_name == "_control_loop", code.co_name

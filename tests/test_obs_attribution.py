@@ -162,9 +162,9 @@ class TestBareRuntimeAttribution:
         session = DirectSession(env, "app", nodes[0], tenant_id="t")
 
         def go():
-            yield session.bind(1)
+            yield from session.bind(1)
             yield from ops(session)
-            yield session.finish()
+            yield from session.finish()
 
         env.process(go())
         env.run()
@@ -172,19 +172,19 @@ class TestBareRuntimeAttribution:
 
     def test_sync_memcpy_charges_wire_time(self):
         def ops(s):
-            yield s.memcpy(30_000_000, CopyKind.H2D)  # pageable: 3 GB/s -> 10 ms
+            yield from s.memcpy(30_000_000, CopyKind.H2D)  # pageable: 3 GB/s -> 10 ms
 
         assert self._row(ops).transfer_s == pytest.approx(0.01, rel=1e-2)
 
     def test_kernel_charges_its_run_time(self):
         def ops(s):
-            yield s.launch(flops=103.0, bytes_accessed=0.001)  # 100 ms
+            yield from s.launch(flops=103.0, bytes_accessed=0.001)  # 100 ms
 
         assert self._row(ops).gpu_busy_s == pytest.approx(0.1, rel=1e-2)
 
     def test_kernel_bytes_accumulate(self):
         def ops(s):
-            yield s.launch(flops=1.0, bytes_accessed=0.25)
-            yield s.launch(flops=1.0, bytes_accessed=0.25)
+            yield from s.launch(flops=1.0, bytes_accessed=0.25)
+            yield from s.launch(flops=1.0, bytes_accessed=0.25)
 
         assert self._row(ops).kernel_bytes_gb == pytest.approx(0.5)

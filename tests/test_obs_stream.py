@@ -366,9 +366,12 @@ class TestChaosExactness:
         assert streamed == baseline
         # Sketch quantiles stay within the configured relative error of
         # the exact span-derived quantiles (same rank convention).
+        # Failed attempts close their root spans flagged; the histogram
+        # observes completed requests only.
         durations = sorted(
             s.duration for s in tel_mem.spans
             if s.cat == "request" and s.finished
+            and not (s.args or {}).get("failed_attempt")
         )
         hists = [
             h for h in tel_str.instruments()

@@ -192,7 +192,7 @@ def test_session_finish_idempotent():
     env.run(until=proc)
 
     def finish_again(env):
-        yield sess.finish()
+        yield from sess.finish()
 
     env.process(finish_again(env))
     env.run()  # no exception: teardown is idempotent
