@@ -57,7 +57,12 @@ class DevicePolicy(abc.ABC):
 
     @abc.abstractmethod
     def dispatcher(self, sched: "GpuScheduler"):
-        """The dispatcher coroutine (a generator run as a sim process)."""
+        """The dispatcher coroutine (a generator run as a sim process).
+
+        TFS loops in the generator.  LAS and PS start a callback loop at
+        its first resumption, where their first decision has always run,
+        and then park for good, as :class:`AlwaysAwake` does; their
+        later decisions run from event callbacks."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__}>"
@@ -153,7 +158,14 @@ class TFS(DevicePolicy):
 
 
 class LAS(DevicePolicy):
-    """Least Attained Service with exponential decay (paper eq. 1)."""
+    """Least Attained Service with exponential decay (paper eq. 1).
+
+    Each quantum wakes the least-served runnable entries, up to
+    :attr:`WAKE_SLOTS`, and ends at its timeout or once every chosen busy
+    entry has gone idle; then every live entry's CGS decays.  The loop
+    runs by callback (:class:`_LasLoop`), so a quantum that changes
+    nothing costs one event and O(1) work (DESIGN.md §2.2).
+    """
 
     name = "LAS"
 
@@ -162,46 +174,14 @@ class LAS(DevicePolicy):
     WAKE_SLOTS = 3
 
     def dispatcher(self, sched: "GpuScheduler"):
-        env, rcb, gate, cfg = sched.env, sched.rcb, sched.gate, sched.config
-        wait = _QuantumWait(env)
-        chosen: List[RcbEntry] = []
-        while True:
-            entries = rcb.entries()
-            runnable = [e for e in entries if e.runnable]
-            if not runnable:
-                yield rcb.changed_event()  # see TFS: pure block is safe
-                continue
-
-            if len(runnable) > self.WAKE_SLOTS:
-                runnable.sort(key=lambda e: (e.cgs, e.registered_at))
-                del runnable[self.WAKE_SLOTS:]
-            # Identity, not ==: RcbEntry is a dataclass comparing every field.
-            if len(runnable) != len(chosen) or any(map(is_not, runnable, chosen)):
-                wait.withdraw(chosen)
-                chosen = runnable
-                # Only on a new pick: an unchanged pick is already awake
-                # and every other entry asleep, so no signal would move.
-                gate.set_awake_exactly(entries, chosen)
-
-            # Every chosen entry is runnable here, so the first wait arms.
-            end = env.now + cfg.las_quantum_s
-            remaining = end - env.now
-            while remaining >= _MIN_WAIT_S:
-                yield wait.arm(chosen, remaining)
-                if not any(e.runnable for e in chosen):
-                    break
-                remaining = end - env.now
-
-            # Close the epoch for everyone: non-served entries decay toward
-            # zero attained service and rise in priority.
-            for e in rcb.entries():
-                e.roll_epoch(cfg.las_k)
+        _LasLoop(sched, self.WAKE_SLOTS).decide()
+        yield sched.env.event()  # the loop runs by callback from here on
 
 
 class _IdleWatch(Event):
     """An idle waiter the LAS dispatcher keeps armed across its waits.
 
-    ``tag`` is the relay of the wait the watch currently serves.
+    ``tag`` is the id of the wait the watch currently serves.
     """
 
     __slots__ = ("tag",)
@@ -209,50 +189,102 @@ class _IdleWatch(Event):
     def __init__(self, env: Environment, callback) -> None:
         super().__init__(env)
         self.callbacks.append(callback)
-        self.tag: Optional[Event] = None
+        self.tag = 0
 
 
-def _fire_relay(event: Event) -> None:
-    """Callback of a wait's last-but-one hop: trigger the relay it carries,
-    unless the wait's other path already has."""
-    relay = event.value
-    if not relay.triggered:
-        relay.succeed()
+class _LasLoop:
+    """The LAS dispatcher of one device, as a callback loop (DESIGN.md §2.2).
 
-
-class _QuantumWait:
-    """How the LAS dispatcher waits out one quantum (see DESIGN.md §2.2).
-
-    A wait ends at the quantum's timeout or once every chosen entry that
-    was runnable when it was armed has gone idle, whichever comes first.
-    The dispatcher blocks on one *relay* event per wait.  The hop counts
-    below fix where each decision lands in same-time FIFO order, so they
-    are part of the simulated output:
+    :meth:`decide` opens a quantum: it picks, then arms a wait that ends
+    at the quantum's timeout or once every chosen entry that was busy
+    when it was armed has gone idle, whichever comes first.  The hop
+    counts below fix where each decision lands in same-time FIFO order,
+    so they are part of the simulated output:
 
     * timeout path, 2 hops: timeout -> relay;
     * idle path, 3 hops: last idle watch -> hop event -> relay.
 
-    Each busy chosen entry carries one :class:`_IdleWatch`, kept armed
-    across waits while the entry stays chosen and busy, and re-tagged
-    with the current relay; a watch firing with an older tag is ignored.
-    A new pick withdraws the old pick's watches.
+    The relay is :meth:`Environment.relay`: it costs an event only when
+    something else is due at the same instant.  Each busy chosen entry
+    carries one :class:`_IdleWatch`, kept armed across waits while the
+    entry stays chosen and busy, and re-tagged with the current wait; a
+    watch, hop or timeout of an older wait is ignored.  A new pick
+    withdraws the old pick's watches.
+
+    While the RCB's change counter has not moved since a pick that
+    needed no sort, the pick stands without a scan: it is what a scan
+    would find.  A pick ranked by CGS is redone every quantum, since
+    every closed epoch moves the CGS it ranked by.
     """
 
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        #: The event the dispatcher is blocked on (its tag for watches).
-        self.relay: Optional[Event] = None
-        #: Busy entries of the current wait that have not gone idle yet.
+    def __init__(self, sched: "GpuScheduler", slots: int) -> None:
+        self.env, self.rcb, self.gate = sched.env, sched.rcb, sched.gate
+        self.quantum = sched.config.las_quantum_s
+        self.k = sched.config.las_k
+        self.slots = slots
+        self.chosen: List[RcbEntry] = []
+        #: ``rcb.changes`` at the current pick, or -1 if it was sorted.
+        self.seen = -1
+        #: When the current quantum ends.
+        self.end = 0.0
+        #: Waits armed so far; the id of the live wait, 0 once it fired.
+        self.waits = 0
+        self.live = 0
+        #: Busy entries of the live wait that have not gone idle yet.
         self.outstanding = 0
         #: The watch of each entry of the current pick, by stream id.
         self.watches: Dict[int, _IdleWatch] = {}
 
-    def arm(self, chosen: List[RcbEntry], remaining: float) -> Event:
-        """Start a wait of at most ``remaining`` seconds; returns its relay."""
+    def decide(self) -> None:
+        """Open a quantum (or block until the RCB changes)."""
+        rcb = self.rcb
+        if rcb.changes != self.seen:
+            entries = rcb.entries()
+            runnable = [e for e in entries if e.runnable]
+            if not runnable:
+                # See TFS: a pure block is safe.
+                rcb.changed_event().callbacks.append(self._on_changed)
+                return
+            if len(runnable) > self.slots:
+                runnable.sort(key=lambda e: (e.cgs, e.registered_at))
+                del runnable[self.slots:]
+                self.seen = -1
+            else:
+                self.seen = rcb.changes
+            chosen = self.chosen
+            # Identity, not ==: RcbEntry is a dataclass comparing every field.
+            if len(runnable) != len(chosen) or any(map(is_not, runnable, chosen)):
+                self._withdraw(chosen)
+                self.chosen = runnable
+                # Only on a new pick: an unchanged pick is already awake
+                # and every other entry asleep, so no signal would move.
+                self.gate.set_awake_exactly(entries, runnable)
+        env = self.env
+        self.end = end = env.now + self.quantum
+        # Every chosen entry is runnable here, so the first wait arms.
+        self._arm(end - env.now)
+
+    def _on_changed(self, _event: Event) -> None:
+        self.decide()
+
+    def _resume(self) -> None:
+        """A wait ended: wait out the rest of the quantum, or close it."""
+        remaining = self.end - self.env.now
+        if remaining >= _MIN_WAIT_S and any(e.runnable for e in self.chosen):
+            self._arm(remaining)
+            return
+        # Close the epoch for everyone: non-served entries decay toward
+        # zero attained service and rise in priority.
+        self.rcb.close_epoch(self.k)
+        self.decide()
+
+    def _arm(self, remaining: float) -> None:
+        """Start a wait of at most ``remaining`` seconds."""
         env, watches = self.env, self.watches
-        self.relay = relay = Event(env)
+        self.waits += 1
+        self.live = tag = self.waits
         self.outstanding = 0
-        for e in chosen:
+        for e in self.chosen:
             if not e.runnable:
                 continue  # an idle entry cannot decide when the wait ends
             self.outstanding += 1
@@ -260,11 +292,10 @@ class _QuantumWait:
             if watch is None or watch.triggered:
                 watch = watches[e.stream_id] = _IdleWatch(env, self._on_idle)
                 e.watch_idle(watch)
-            watch.tag = relay
-        env.timeout(remaining, relay).callbacks.append(_fire_relay)
-        return relay
+            watch.tag = tag
+        env.timeout(remaining, tag).callbacks.append(self._fire)
 
-    def withdraw(self, pick: List[RcbEntry]) -> None:
+    def _withdraw(self, pick: List[RcbEntry]) -> None:
         """Disarm the watches of a pick that is being replaced."""
         for e in pick:
             watch = self.watches.pop(e.stream_id, None)
@@ -272,18 +303,30 @@ class _QuantumWait:
                 e.withdraw_idle(watch)
 
     def _on_idle(self, watch: _IdleWatch) -> None:
-        relay = self.relay
-        if watch.tag is not relay or relay.triggered:
+        if watch.tag != self.live:
             return  # an older wait's watch, or the timeout already won
         self.outstanding -= 1
         if not self.outstanding:
             hop = Event(self.env)
-            hop.callbacks.append(_fire_relay)
-            hop.succeed(relay)
+            hop.callbacks.append(self._fire)
+            hop.succeed(watch.tag)
+
+    def _fire(self, event: Event) -> None:
+        """A wait's last-but-one hop (its timeout or idle hop, valued with
+        its id): relay to :meth:`_resume`, unless the wait already ended."""
+        if event.value == self.live:
+            self.live = 0
+            self.env.relay(self._resume)
 
 
 class PS(DevicePolicy):
-    """Phase Selection: keep every GPU engine busy (paper Fig. 7b)."""
+    """Phase Selection: keep every GPU engine busy (paper Fig. 7b).
+
+    Re-picks one entry per GPU phase whenever the RCB changes and at
+    least every :attr:`~repro.core.config.SchedulerConfig.ps_quantum_s`.
+    The loop runs by callback (:class:`_PsLoop`), so a quantum that
+    changes nothing costs one event and O(1) work (DESIGN.md §2.2).
+    """
 
     name = "PS"
 
@@ -291,19 +334,8 @@ class PS(DevicePolicy):
     WAKE_SLOTS = 3
 
     def dispatcher(self, sched: "GpuScheduler"):
-        env, rcb, gate, cfg = sched.env, sched.rcb, sched.gate, sched.config
-        while True:
-            entries = rcb.entries()
-            runnable = [e for e in entries if e.runnable]
-            if not runnable:
-                yield rcb.changed_event()  # see TFS: pure block is safe
-                continue
-
-            picked = self._pick(runnable)
-            gate.set_awake_exactly(entries, picked)
-            yield env.any_of(
-                [rcb.changed_event(), env.timeout(cfg.ps_quantum_s)]
-            )
+        _PsLoop(self, sched).decide()
+        yield sched.env.event()  # the loop runs by callback from here on
 
     def _pick(self, runnable: List[RcbEntry]) -> List[RcbEntry]:
         """One thread per phase, least-served first; spare slots by
@@ -323,6 +355,69 @@ class PS(DevicePolicy):
             rest.sort(key=lambda e: (PHASE_PRIORITY[e.phase], e.service_attained_s))
             picked.extend(rest[: self.WAKE_SLOTS - len(picked)])
         return picked
+
+
+class _PsLoop:
+    """The PS dispatcher of one device, as a callback loop (DESIGN.md §2.2).
+
+    With some entry runnable, a pick waits for the RCB's change event or
+    the quantum's timeout, whichever is processed first, and relays to
+    the next pick: 2 hops, the trigger and then :meth:`Environment.relay`.
+    With nothing runnable it blocks on the change event alone, 1 hop.
+    While the RCB's change counter has not moved since the last pick, the
+    pick and its gate signals are skipped: they would move nothing.
+    """
+
+    def __init__(self, policy: PS, sched: "GpuScheduler") -> None:
+        self.policy = policy
+        self.env, self.rcb, self.gate = sched.env, sched.rcb, sched.gate
+        self.quantum = sched.config.ps_quantum_s
+        #: ``rcb.changes`` at the last pick.
+        self.seen = -1
+        #: The live wait's change event and timeout (None: not waiting on it).
+        self.changed: Optional[Event] = None
+        self.timeout: Optional[Event] = None
+        #: The change event that carries :meth:`_on_changed`.
+        self.hooked: Optional[Event] = None
+
+    def decide(self) -> None:
+        """Pick if the RCB changed, then wait (or block until it changes)."""
+        rcb = self.rcb
+        if rcb.changes != self.seen:
+            entries = rcb.entries()
+            runnable = [e for e in entries if e.runnable]
+            if not runnable:
+                self._wait(None)  # see TFS: a pure block is safe
+                return
+            self.seen = rcb.changes
+            self.gate.set_awake_exactly(entries, self.policy._pick(runnable))
+        timeout = self.env.timeout(self.quantum)
+        timeout.callbacks.append(self._on_timeout)
+        self._wait(timeout)
+
+    def _wait(self, timeout: Optional[Event]) -> None:
+        changed = self.rcb.changed_event()
+        if changed is not self.hooked:
+            # A change event outlives the waits a timeout ended: hook once.
+            changed.callbacks.append(self._on_changed)
+            self.hooked = changed
+        self.changed, self.timeout = changed, timeout
+
+    def _on_changed(self, event: Event) -> None:
+        if event is not self.changed:
+            return  # an earlier wait's, processed after it had ended
+        relay = self.timeout is not None
+        self.changed = self.timeout = None
+        if relay:
+            self.env.relay(self.decide)
+        else:
+            self.decide()
+
+    def _on_timeout(self, event: Event) -> None:
+        if event is not self.timeout:
+            return  # left behind by a wait that ended on a change
+        self.changed = self.timeout = None
+        self.env.relay(self.decide)
 
 
 __all__ = ["AlwaysAwake", "DevicePolicy", "LAS", "PS", "TFS"]

@@ -66,8 +66,11 @@ class RcbEntry:
 
     # -- attained service (Request Monitor) ----------------------------------------
     service_attained_s: float = 0.0
+    #: Service in the open epoch (TFS slice, LAS epoch ``_epoch``).
     epoch_service_s: float = 0.0
-    cgs: float = 0.0  # time-decayed cumulative GPU service (LAS, eq. 1)
+    #: :attr:`cgs` as of the close of RCB epoch ``_epoch``.
+    _cgs: float = 0.0
+    _epoch: int = 0
     tfs_penalty_s: float = 0.0
 
     # -- profile accumulation ----------------------------------------------------------
@@ -88,14 +91,27 @@ class RcbEntry:
         """An op arrived at the gate."""
         self.pending += 1
         self.phase = phase
+        self._bump()
 
     def issue(self) -> None:
         """An op passed the gate and was handed to the device."""
         self.pending = max(0, self.pending - 1)
         self.inflight += 1
+        self._bump()
+
+    def abandon(self) -> None:
+        """An issued op failed before completing: it only leaves the
+        in-flight count (no service, no idle watch, no notification)."""
+        self.inflight = max(0, self.inflight - 1)
+        self._bump()
+
+    def _bump(self) -> None:
+        if self._rcb is not None:
+            self._rcb.changes += 1
 
     def complete(self, record: dict) -> None:
         """Request-Monitor update on an op completion record."""
+        self._replay()
         elapsed = record["finished_at"] - record["started_at"]
         op = record["op"]
         self.service_attained_s += elapsed
@@ -107,6 +123,7 @@ class RcbEntry:
             self.transfer_time_s += elapsed
         self.ops_completed += 1
         self.inflight = max(0, self.inflight - 1)
+        self._bump()
         if self.pending == 0 and self.inflight == 0:
             self.phase = GpuPhase.DFL
             self._fire_idle()
@@ -134,11 +151,45 @@ class RcbEntry:
             if not ev.triggered:
                 ev.succeed()
 
+    @property
+    def cgs(self) -> float:
+        """Time-decayed cumulative GPU service (LAS, paper eq. 1).
+
+        The LAS dispatcher closes epochs on the RCB's counter
+        (:meth:`RequestControlBlock.close_epoch`) instead of rolling every
+        entry.  Reading or setting this, and a completion, first replays
+        the decays this entry missed with :meth:`roll_epoch`, so a read
+        gives exactly what rolling every live entry at every quantum end
+        would have given."""
+        self._replay()
+        return self._cgs
+
+    @cgs.setter
+    def cgs(self, value: float) -> None:
+        self._replay()
+        self._cgs = value
+
     def roll_epoch(self, k: float) -> None:
-        """Close a service epoch, applying the LAS time decay (paper eq. 1):
-        ``CGS_n = k * GS_n + (1 - k) * CGS_{n-1}``."""
-        self.cgs = k * self.epoch_service_s + (1.0 - k) * self.cgs
+        """Close one service epoch, applying the LAS time decay (paper
+        eq. 1): ``CGS_n = k * GS_n + (1 - k) * CGS_{n-1}``.
+
+        The replay runs it once per missed epoch: the first consumes the
+        epoch's service, each later one computes ``k * 0.0 + (1 - k) *
+        CGS``, the float operations eager rolling performed."""
+        self._cgs = k * self.epoch_service_s + (1.0 - k) * self._cgs
         self.epoch_service_s = 0.0
+
+    def _replay(self) -> None:
+        """Apply the epochs the RCB closed since this entry was current
+        (none once unregistered: a closed epoch rolls live entries only)."""
+        rcb = self._rcb
+        if rcb is None or self.unregistered:
+            return
+        behind = rcb.epoch - self._epoch
+        if behind:
+            self._epoch = rcb.epoch
+            for _ in range(behind):
+                self.roll_epoch(rcb.las_k)
 
     def profile(self, now: float, gid: int = -1) -> AppProfile:
         """The Feedback Engine's summary of this application run."""
@@ -153,7 +204,16 @@ class RcbEntry:
 
 
 class RequestControlBlock:
-    """The per-device RCB: every application registered on the device."""
+    """The per-device RCB: every application registered on the device.
+
+    Two counters let a dispatcher spend O(1) on a quantum that changes
+    nothing.  :attr:`changes` counts every mutation a pick reads
+    (register, unregister, and an entry's demand, issue, complete and
+    abandon); bumping it never fires :meth:`changed_event`, which would
+    cost an event.  :attr:`epoch` counts the LAS service epochs closed by
+    :meth:`close_epoch`; each entry replays the decays it missed when it
+    next needs its CGS (see :attr:`RcbEntry.cgs`).
+    """
 
     def __init__(self, env: Environment) -> None:
         self.env = env
@@ -161,6 +221,11 @@ class RequestControlBlock:
         #: Fires whenever an entry registers / unregisters (dispatcher wake).
         self._changed: Optional[Event] = None
         self.registrations = 0
+        #: Mutations a dispatcher's pick depends on, so far.
+        self.changes = 0
+        #: LAS epochs closed so far, and the decay constant they apply.
+        self.epoch = 0
+        self.las_k = 0.0
 
     # -- registration (Request Manager) ---------------------------------------
 
@@ -173,13 +238,16 @@ class RequestControlBlock:
             registered_at=self.env.now,
         )
         entry._rcb = self
+        entry._epoch = self.epoch
         self._entries[entry.stream_id] = entry
         self.registrations += 1
+        self.changes += 1
         self._notify()
         return entry
 
     def unregister(self, entry: RcbEntry) -> None:
         """Remove an entry (on ``cudaThreadExit``)."""
+        entry._replay()
         entry.unregistered = True
         # Wake anything still parked at the gate so teardown can't deadlock.
         entry.awake = True
@@ -189,6 +257,7 @@ class RequestControlBlock:
         entry._waiters.clear()
         entry._fire_idle()
         self._entries.pop(entry.stream_id, None)
+        self.changes += 1
         self._notify()
 
     def _notify(self) -> None:
@@ -204,6 +273,12 @@ class RequestControlBlock:
         polling (critical for event economy in long runs).
         """
         self._notify()
+
+    def close_epoch(self, k: float) -> None:
+        """Close a LAS service epoch for every live entry, in O(1): each
+        replays the decay with ``k`` (the dispatcher's constant) later."""
+        self.las_k = k
+        self.epoch += 1
 
     def changed_event(self) -> Event:
         """An event that fires on the next register/unregister/demand."""

@@ -435,7 +435,7 @@ class ManagedSession(GpuSession):
         if self.entry is not None and record is not None:
             self.entry.complete(record)
         elif self.entry is not None:
-            self.entry.inflight = max(0, self.entry.inflight - 1)
+            self.entry.abandon()
         tel = self.env.telemetry
         if tel.enabled and isinstance(record, dict):
             op = record.get("op")

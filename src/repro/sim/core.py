@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional, Tuple, Union
+from typing import Any, Callable, Generator, List, Optional, Tuple, Union
 
 import repro.telemetry as _telemetry
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -92,6 +92,28 @@ class Environment:
         """
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+
+    def relay(self, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` where a zero-delay event triggered now would run.
+
+        Such an event is queued behind every entry due at the current
+        instant and ahead of every later one.  So when no entry is due now
+        it would be the next one popped, and ``callback`` runs at once,
+        with no event; otherwise it runs from one zero-delay event, as a
+        relay :class:`Event` would.
+
+        Exact only when called as the *last action of the last callback*
+        of the event being processed: then nothing can be queued or run
+        between the call and the pop the relay event would have had.  (A
+        callback run at once may itself end by calling :meth:`relay`.)
+        """
+        queue = self._queue
+        if queue and queue[0][0] <= self._now:
+            event = Event(self)
+            event.callbacks.append(lambda _event: callback())
+            event.succeed()
+        else:
+            callback()
 
     # -- factories -----------------------------------------------------------
 

@@ -174,6 +174,17 @@ class Store:
         event.succeed()
         return event
 
+    def put_nowait(self, item: Any) -> None:
+        """Add ``item`` at once, with no event to wait on.
+
+        For callers that never wait on :meth:`put`'s event: that event
+        decides nothing but still costs a pass through the event queue.
+        A full bounded store raises :class:`OverflowError`.
+        """
+        if self.capacity is not None and len(self.items) >= self.capacity:
+            raise OverflowError("store is full")
+        self._deliver(item)
+
     def _deliver(self, item: Any) -> None:
         # Hand straight to a waiting getter if any, else enqueue.
         while self._getters:

@@ -60,14 +60,17 @@ class RandomStream:
 
         Implemented literally as ``-ln(X) * mean`` with X uniform on (0, 1]
         to match the paper's formula; numerically identical in distribution
-        to ``numpy``'s exponential.
+        to ``numpy``'s exponential.  Returns a Python ``float`` with the
+        bits of numpy's result: arrivals, think times and lifetimes become
+        delays, and a ``numpy.float64`` there would make the simulated
+        clock, and every sum taken with it, numpy arithmetic.
         """
         if mean < 0:
             raise ValueError(f"mean must be >= 0, got {mean}")
         if mean == 0:
             return 0.0
         x = 1.0 - float(self._rng.random())  # uniform on (0, 1]
-        return -np.log(x) * mean
+        return float(-np.log(x) * mean)
 
     def exponential_array(self, mean: float, n: int) -> np.ndarray:
         """Vectorized draw of ``n`` exponential inter-arrival times."""

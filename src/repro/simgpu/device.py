@@ -77,6 +77,7 @@ class GpuDevice:
         self.ctx_switches = 0
         self.kernels_completed = 0
         self.copies_completed = 0
+        #: Live contexts, in creation order.
         self.contexts: List[GpuContext] = []
 
         # -- observability -----------------------------------------------------
@@ -106,6 +107,8 @@ class GpuDevice:
         """Tear a context down, releasing all its device memory."""
         for ptr in list(ctx.allocations):
             self.free(ctx, ptr)
+        if not ctx.destroyed:
+            self.contexts.remove(ctx)
         ctx.destroyed = True
         if ctx in self._waiting and not self._waiting[ctx]:
             del self._waiting[ctx]

@@ -125,6 +125,18 @@ def test_departure_during_a_retry_backoff_aborts_without_downtime():
     assert summary["tenant_downtime_s"] == {}
 
 
+def test_a_churned_run_keeps_the_clock_a_python_float():
+    clock = {}
+
+    def testbed(env):
+        clock["env"] = env
+        return build_paper_supernode(env)
+
+    res, _ = run(make_gen(), testbed=testbed)
+    assert res.aborted > 0
+    assert type(clock["env"].now) is float
+
+
 def test_accounting_and_latency_aggregates():
     res, _ = run(make_gen(), keep_results=True)
     assert len(res.results) == res.completed

@@ -68,6 +68,19 @@ def test_run_stream_experiment_collects_all_requests():
     assert run.per_app == {"GA": 5}
 
 
+def test_a_seeded_stream_run_keeps_the_clock_a_python_float():
+    clock = {}
+
+    def testbed(env):
+        clock["env"] = env
+        return build_small_server(env)
+
+    stream = exponential_stream(app_by_short("GA"), RandomStream(1), 5, load_factor=1.0)
+    run = run_stream_experiment(system_factories()["GMin-Strings"], [stream], testbed)
+    assert run.completed == 5
+    assert type(clock["env"].now) is float
+
+
 def _mc_ga_streams():
     return [
         exponential_stream(app_by_short(short), RandomStream(3, short), 4, 2.0)

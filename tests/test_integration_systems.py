@@ -8,6 +8,8 @@ from repro.core import CudaRuntimeSystem, RainSystem, StringsSystem
 from repro.core.policies import GMin, GRR, GWtMin, LAS, PS, TFS
 from repro.core.policies.feedback import MBF
 from repro.apps import app_by_short, run_request
+from repro.harness.runner import run_stream_experiment, system_factories
+from repro.workloads import Request, RequestStream
 
 
 def run_n(make_system, app_shorts, testbed=build_small_server, until=None):
@@ -32,6 +34,22 @@ def test_cuda_baseline_all_requests_collide_on_device0():
     assert dev0.kernels_completed == 3 * app_by_short("BS").iterations
     assert dev1.kernels_completed == 0  # static collision: device 1 idle
     assert dev0.ctx_switches > 0  # separate contexts multiplexed
+
+
+def test_cuda_baseline_keeps_no_destroyed_context():
+    devices = {}
+
+    def testbed(env):
+        nodes, net = build_small_server(env)
+        devices["gpu0"] = nodes[0].devices[0]
+        return nodes, net
+
+    app = app_by_short("GA")
+    stream = RequestStream([Request(app, i * app.solo_runtime_s()) for i in range(40)])
+    run = run_stream_experiment(system_factories()["CUDA"], [stream], testbed)
+    assert run.completed == 40
+    # Every request's host process tore its context down on exit.
+    assert devices["gpu0"].contexts == []
 
 
 def test_rain_balances_but_separate_contexts():

@@ -23,6 +23,12 @@ def test_spawn_is_deterministic():
     assert a.exponential(1.0) == b.exponential(1.0)
 
 
+def test_exponential_returns_a_python_float():
+    # Its draws become delays: a numpy scalar would turn the simulated
+    # clock, and every sum taken with it, into numpy arithmetic.
+    assert type(RandomStream(1).exponential(2.0)) is float
+
+
 def test_derive_seed_is_64bit():
     s = derive_seed(1, "k")
     assert 0 <= s < 2**64

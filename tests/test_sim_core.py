@@ -5,6 +5,7 @@ import pytest
 from repro.sim import (
     Environment,
     Event,
+    EventPriority,
     Interrupt,
     SimulationError,
 )
@@ -422,3 +423,46 @@ def test_run_until_event_already_processed():
     p = env.process(proc(env))
     env.run()
     assert env.run(until=p) == "v"
+
+
+# -- relay ---------------------------------------------------------------------
+
+
+def test_relay_runs_at_once_when_nothing_else_is_due():
+    env = Environment()
+    log = []
+    tick = env.timeout(1.0)
+    tick.callbacks.append(lambda _e: env.relay(lambda: log.append(env.now)))
+    env.timeout(2.0)
+    env.step()
+    # The callback ran inside the step that processed the timeout, with
+    # no relay event queued or counted.
+    assert log == [1.0]
+    assert env.events_processed == 1
+    assert env.queue_depth == 1
+
+
+def test_relay_queues_behind_a_normal_event_due_at_the_same_instant():
+    env = Environment()
+    log = []
+    tick = env.timeout(1.0)
+    tick.callbacks.append(lambda _e: env.relay(lambda: log.append("relayed")))
+    env.timeout(1.0).callbacks.append(lambda _e: log.append("due"))
+    env.step()
+    assert log == []  # one zero-delay relay event, queued behind it
+    env.run()
+    assert log == ["due", "relayed"]
+    assert env.events_processed == 3
+
+
+def test_relay_queues_behind_an_urgent_event_due_at_the_same_instant():
+    env = Environment()
+    log = []
+    urgent = Event(env)
+    urgent.callbacks.append(lambda _e: log.append("urgent"))
+    tick = env.timeout(1.0)
+    tick.callbacks.append(lambda _e: env.schedule(urgent, EventPriority.URGENT))
+    tick.callbacks.append(lambda _e: env.relay(lambda: log.append("relayed")))
+    env.run()
+    assert log == ["urgent", "relayed"]
+    assert env.events_processed == 3

@@ -250,3 +250,23 @@ def test_store_len():
     store.put(2)
     env.run()
     assert len(store) == 2
+
+
+def test_store_put_nowait_queues_no_event():
+    env = Environment()
+    store = Store(env)
+    getter = store.get()
+    store.put_nowait("first")  # handed to the waiting getter
+    store.put_nowait("second")  # enqueued
+    assert env.queue_depth == 1  # the getter's event, nothing for the puts
+    env.run()
+    assert getter.value == "first"
+    assert list(store.items) == ["second"]
+
+
+def test_full_bounded_store_rejects_put_nowait():
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.put_nowait("a")
+    with pytest.raises(OverflowError):
+        store.put_nowait("b")
