@@ -192,7 +192,6 @@ class GPool:
         entries: List[GMapEntry] = []
         self.dst = DeviceStatusTable()
         self._devices: Dict[int, GpuDevice] = {}
-        self._node_of: Dict[int, Node] = {}
 
         specs = [d.spec for n in nodes for d in n.devices]
         if reference_spec is None and specs:
@@ -215,7 +214,6 @@ class GPool:
                     )
                 )
                 self._devices[gid] = device
-                self._node_of[gid] = node
                 # Name the device's trace tracks after its global id.
                 device.set_track(f"GPU{gid}")
                 gid += 1
@@ -226,10 +224,6 @@ class GPool:
     def device(self, gid: int) -> GpuDevice:
         """The simulated device behind a GID."""
         return self._devices[gid]
-
-    def node_of(self, gid: int) -> Node:
-        """The node hosting a GID."""
-        return self._node_of[gid]
 
     def gids(self) -> List[int]:
         """All GIDs, ascending."""

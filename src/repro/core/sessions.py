@@ -294,11 +294,6 @@ class ManagedSession(GpuSession):
         return BackendIssueLoop(self.env, name=f"issue:{self.app_name}")
 
     @property
-    def _local(self) -> bool:
-        """Whether the bound GPU shares the frontend's node."""
-        return self.transport.local
-
-    @property
     def aborted(self) -> bool:
         """True once :meth:`abort` killed this session (fault or churn).
 
@@ -317,14 +312,6 @@ class ManagedSession(GpuSession):
                 f"session {self.app_name!r} has no backend binder installed"
             )
         return self.binder(self, gid)
-
-    # -- RPC helpers -----------------------------------------------------------
-
-    def _req(self, payload: int = 128) -> float:
-        return self.transport.request_s(payload)
-
-    def _rsp(self) -> float:
-        return self.transport.response_s()
 
     # -- observability hooks (only reached when telemetry is enabled) --------
 
@@ -426,10 +413,6 @@ class ManagedSession(GpuSession):
             _cb(completion)
         else:
             completion.callbacks.append(_cb)
-
-    def _obs_gid(self) -> int:
-        """GID the session is bound to (-1 before binding completes)."""
-        return self.binding.gid if self.binding is not None else -1
 
     def _complete_accounting(self, record) -> None:
         if self.entry is not None and record is not None:

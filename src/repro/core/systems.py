@@ -120,11 +120,6 @@ class _ScheduledSystem:
                 feedback_sink=self.mapper.deliver_feedback,
             )
 
-    @property
-    def balancing_policy(self) -> BalancingPolicy:
-        """The installed workload-balancing policy."""
-        return self.mapper.policy
-
     def _daemon_for(self, gid: int) -> BackendDaemon:
         entry = self.pool.gmap.lookup(gid)
         return self.daemons[entry.hostname]

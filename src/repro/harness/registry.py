@@ -352,10 +352,6 @@ class GridExperiment(Experiment):
             )
         return self.grid
 
-    def point_label(self, params: Dict[str, object]) -> str:
-        """Stable label of one grid point (shard subdirs, progress lines)."""
-        return ",".join(f"{k}={v}" for k, v in params.items())
-
     def run_point(self, params: Dict[str, object], ctx: ExperimentContext):
         raise NotImplementedError
 

@@ -32,7 +32,7 @@ from repro.core.systems import (
     RainSystem,
     StringsSystem,
 )
-from repro.telemetry import DecisionLog
+from repro.telemetry import DecisionLog, Histogram
 from repro.workloads.streams import Request, RequestStream
 from repro.traffic import TenantDeparted, TenantSession, TrafficGenerator
 
@@ -157,11 +157,15 @@ def system_factories() -> Dict[str, SystemFactory]:
 class RunResult:
     """Outcome of one run through the request path (every runner).
 
-    Latencies live in a telemetry histogram (a mergeable quantile
+    Latencies live in the run's own histogram (a mergeable quantile
     sketch) and everything else is counters, so a
     production-scale open-loop run (10^5-10^6 requests) never keeps a
-    ``RequestResult`` list.  ``results`` (completion order) is populated
-    for stream runs and under ``keep_results=True`` (tests, small runs).
+    ``RequestResult`` list.  The runner also observes each latency into
+    the registry's ``harness.latency_s`` histogram for exports; that one
+    is shared by every run with the same label (and is a no-op under the
+    null registry), so quantiles are read from :attr:`latency_hist`.
+    ``results`` (completion order) is populated for stream runs and
+    under ``keep_results=True`` (tests, small runs).
     """
 
     label: str = ""
@@ -182,8 +186,8 @@ class RunResult:
     latency_sum_s: float = 0.0
     latency_max_s: float = 0.0
     per_app: Dict[str, int] = field(default_factory=dict)
-    #: Telemetry histogram of completion latencies (``quantile(q)``).
-    latency_hist: object = None
+    #: This run's histogram of completion latencies (``quantile(q)``).
+    latency_hist: Optional[Histogram] = None
     #: Availability summary when fault injection was active, else None.
     faults_summary: Optional[Dict[str, object]] = None
     results: Optional[List[RequestResult]] = None
@@ -346,9 +350,10 @@ def _run_sessions(
     run = RunResult(
         label=label,
         duration_s=horizon_s,
-        latency_hist=tel.histogram("harness.latency_s", label=label),
+        latency_hist=Histogram("harness.latency_s", label=label),
         results=[] if keep_results else None,
     )
+    exported_latency = tel.histogram("harness.latency_s", label=label)
     outstanding = 0
     driver_done = False
     done = env.event()
@@ -421,6 +426,7 @@ def _run_sessions(
                 if latency > run.latency_max_s:
                     run.latency_max_s = latency
                 run.latency_hist.observe(latency)
+                exported_latency.observe(latency)
                 run.per_app[result.app] = run.per_app.get(result.app, 0) + 1
                 if run.results is not None:
                     run.results.append(result)

@@ -76,7 +76,7 @@ class BackendIssueLoop:
 
     def post(self, item: IssueItem) -> None:
         """Enqueue one op (FIFO)."""
-        self._queue.put_nowait(item)
+        self._queue.put(item)
 
     @property
     def depth(self) -> int:

@@ -7,7 +7,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple, Union
 
 import repro.telemetry as _telemetry
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process, ProcessExit
+from repro.sim.process import Process
 
 
 class SimulationError(RuntimeError):
@@ -51,7 +51,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[_QueueEntry] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Cumulative events dispatched by :meth:`step` — a plain int
         #: kernel-health counter (one integer add per event) that the
         #: interval sampler turns into registry gauges/series (ISSUE 9);
@@ -66,15 +65,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time (seconds)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     @property
     def queue_depth(self) -> int:
@@ -139,11 +129,6 @@ class Environment:
         """Event that triggers when any of ``events`` has triggered."""
         return AnyOf(self, events)
 
-    @staticmethod
-    def exit(value: Any = None) -> None:
-        """Terminate the calling process, making ``value`` its result."""
-        raise ProcessExit(value)
-
     # -- execution -------------------------------------------------------------
 
     def step(self) -> None:
@@ -177,44 +162,28 @@ class Environment:
             * an :class:`Event` — run until the event is processed, and
               return its value (re-raising its failure, if any).
         """
-        stop: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop = until
-            else:
-                at = float(until)
-                if at < self._now:
-                    raise ValueError(f"until={at} is in the past (now={self._now})")
-                stop = Timeout(self, at - self._now)
-
-        if stop is not None:
-            watched = stop
-
-            if watched.callbacks is None:  # already processed
-                if not watched._ok and not watched.defused:
-                    raise watched._value
-                return watched._value
-
-            done = {"flag": False}
-
-            def _halt(_evt: Event) -> None:
-                done["flag"] = True
-
-            watched.callbacks.append(_halt)
-            while not done["flag"]:
-                try:
-                    self.step()
-                except EmptySchedule:
-                    raise SimulationError(
-                        "event queue ran dry before the 'until' event triggered"
-                    ) from None
-            if not watched._ok and not watched.defused:
-                raise watched._value
-            return watched._value
-
-        while self._queue:
-            self.step()
-        return None
+        if until is None:
+            while self._queue:
+                self.step()
+            return None
+        if isinstance(until, Event):
+            stop = until
+        else:
+            at = float(until)
+            if at < self._now:
+                raise ValueError(f"until={at} is in the past (now={self._now})")
+            stop = Timeout(self, at - self._now)
+        # An event's callbacks become None once it is processed.
+        while stop.callbacks is not None:
+            try:
+                self.step()
+            except EmptySchedule:
+                raise SimulationError(
+                    "event queue ran dry before the 'until' event triggered"
+                ) from None
+        if not stop._ok and not stop.defused:
+            raise stop._value
+        return stop._value
 
 
 __all__ = ["Environment", "SimulationError"]

@@ -9,7 +9,7 @@ the environment has invoked its callbacks.  Processes wait on events by
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -18,9 +18,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class EventPriority(enum.IntEnum):
     """Scheduling priority for events that trigger at the same sim time.
 
-    Lower values run earlier.  ``URGENT`` is used internally for process
-    resumption bookkeeping so that a process observes resource state updated
-    by same-time releases.  The kernel's own callers pass the plain ints
+    Lower values run earlier.  ``URGENT`` starts a process
+    (:class:`Initialize`) ahead of the normal events already queued for
+    the same instant.  The kernel's own callers pass the plain ints
     (0, 1) to :meth:`~repro.sim.core.Environment.schedule`.
     """
 
@@ -106,22 +106,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if self._value is not _PENDING:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
-    # -- composition ------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -169,70 +153,12 @@ class Initialize(Event):
         env.schedule(self, 0)  # EventPriority.URGENT
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Interrupt({self.cause!r})"
-
-
-class ConditionValue:
-    """Ordered mapping of the events that had triggered when a condition fired.
-
-    Behaves like a read-only ``dict`` keyed by event instance, in the order
-    the events were given to the condition.
-    """
-
-    def __init__(self, events: List[Event]) -> None:
-        self.events = events
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self) -> Iterable[Event]:
-        return iter(self.events)
-
-    def values(self) -> Iterable[Any]:
-        return (e._value for e in self.events)
-
-    def items(self) -> Iterable[Any]:
-        return ((e, e._value) for e in self.events)
-
-    def todict(self) -> Dict[Event, Any]:
-        return {e: e._value for e in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ConditionValue {self.todict()!r}>"
-
-
 class Condition(Event):
     """Waits for a boolean combination of other events.
 
-    Subclasses define :meth:`_evaluate`.  A condition fails as soon as any of
-    its constituent events fails.
+    Subclasses define :meth:`_evaluate`.  A condition succeeds with
+    ``None`` (waiters read the members' own values) and fails as soon as
+    any of its constituent events fails.
     """
 
     __slots__ = ("_events", "_count")
@@ -253,13 +179,7 @@ class Condition(Event):
                 event.callbacks.append(self._check)
 
         if not self._events and not self.triggered:
-            self.succeed(ConditionValue([]))
-
-    def _populate_value(self) -> ConditionValue:
-        # Only *processed* events have actually fired: Timeouts are
-        # "triggered" (value pre-set) from creation, so `triggered` would
-        # wrongly include timeouts still pending in the queue.
-        return ConditionValue([e for e in self._events if e.processed])
+            self.succeed()
 
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
@@ -270,7 +190,7 @@ class Condition(Event):
             return
         self._count += 1
         if self._evaluate():
-            self.succeed(self._populate_value())
+            self.succeed()
 
     def _evaluate(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -298,10 +218,8 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "ConditionValue",
     "Event",
     "EventPriority",
     "Initialize",
-    "Interrupt",
     "Timeout",
 ]

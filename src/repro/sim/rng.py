@@ -16,7 +16,7 @@ so adding a stream never perturbs the draws of existing streams.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,15 +72,6 @@ class RandomStream:
         x = 1.0 - float(self._rng.random())  # uniform on (0, 1]
         return float(-np.log(x) * mean)
 
-    def exponential_array(self, mean: float, n: int) -> np.ndarray:
-        """Vectorized draw of ``n`` exponential inter-arrival times."""
-        if mean < 0:
-            raise ValueError(f"mean must be >= 0, got {mean}")
-        if mean == 0:
-            return np.zeros(n)
-        x = 1.0 - self._rng.random(n)
-        return -np.log(x) * mean
-
     def integers(self, low: int, high: int) -> int:
         """Uniform integer on [low, high)."""
         return int(self._rng.integers(low, high))
@@ -88,29 +79,6 @@ class RandomStream:
     def choice(self, seq: Sequence) -> object:
         """Uniformly choose one element of ``seq``."""
         return seq[int(self._rng.integers(0, len(seq)))]
-
-    def shuffle(self, seq: list) -> None:
-        """Shuffle ``seq`` in place."""
-        self._rng.shuffle(seq)
-
-    def normal(self, mean: float, std: float) -> float:
-        """Gaussian variate."""
-        return float(self._rng.normal(mean, std))
-
-    def lognormal_jitter(self, sigma: float = 0.05) -> float:
-        """Multiplicative jitter centred on 1.0 (models run-to-run noise)."""
-        if sigma <= 0:
-            return 1.0
-        return float(np.exp(self._rng.normal(0.0, sigma)))
-
-    def arrival_times(self, mean: float, horizon: float) -> Iterator[float]:
-        """Yield absolute arrival times of a Poisson process until ``horizon``."""
-        t = 0.0
-        while True:
-            t += self.exponential(mean)
-            if t > horizon:
-                return
-            yield t
 
 
 __all__ = ["RandomStream", "derive_seed"]

@@ -91,13 +91,6 @@ class GpuContext:
         self.streams[stream.stream_id] = stream
         return stream
 
-    def get_stream(self, stream_id: int) -> GpuStream:
-        """Look up a stream by id (0 = default stream)."""
-        try:
-            return self.streams[stream_id]
-        except KeyError:
-            raise KeyError(f"context {self.ctx_id} has no stream {stream_id}") from None
-
     def destroy_stream(self, stream: GpuStream) -> None:
         """Destroy a stream (cudaStreamDestroy)."""
         stream.destroy()

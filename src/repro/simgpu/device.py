@@ -149,11 +149,6 @@ class GpuDevice:
         """Device memory currently allocated across all contexts."""
         return self._allocated
 
-    @property
-    def free_bytes(self) -> int:
-        """Device memory still available."""
-        return self.spec.mem_capacity_bytes - self._allocated
-
     # -- work submission ------------------------------------------------------------
 
     def submit(self, stream: GpuStream, op: Union[KernelOp, CopyOp]) -> Event:

@@ -3,7 +3,7 @@ destroyed-handle misuse."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Resource, SimulationError
+from repro.sim import Environment, SimulationError
 from repro.simgpu import CopyKind, GpuDevice, TESLA_C2050, KernelOp
 from repro.cuda import CudaError, CudaErrorCode, HostProcess
 
@@ -90,46 +90,6 @@ def test_unwaited_process_failure_crashes_run():
         env.run()
 
 
-# -- interrupts around resources ------------------------------------------------------
-
-
-def test_interrupt_while_queued_on_resource_releases_claim():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    got = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(10.0)
-
-    def victim(env):
-        req = res.request()
-        try:
-            yield req
-        except Interrupt:
-            req.cancel()
-            return "bailed"
-
-    def interrupter(env, v):
-        yield env.timeout(1.0)
-        v.interrupt()
-
-    def third(env):
-        yield env.timeout(2.0)
-        with res.request() as req:
-            yield req
-            got.append(env.now)
-
-    env.process(holder(env))
-    v = env.process(victim(env))
-    env.process(interrupter(env, v))
-    env.process(third(env))
-    env.run()
-    assert v.value == "bailed"
-    assert got == [10.0]  # third got the slot right when holder released
-
-
 # -- device teardown races --------------------------------------------------------------
 
 
@@ -185,31 +145,3 @@ def test_device_malloc_negative_rejected():
     ctx = dev.create_context(owner="a")
     with pytest.raises(ValueError):
         dev.malloc(ctx, -1)
-
-
-def test_store_negative_capacity_event_semantics():
-    """Bounded store admits put only after space frees (FIFO preserved)."""
-    from repro.sim import Store
-
-    env = Environment()
-    store = Store(env, capacity=2)
-    log = []
-
-    def producer(env):
-        for i in range(4):
-            yield store.put(i)
-            log.append(("put", i, env.now))
-
-    def consumer(env):
-        yield env.timeout(1.0)
-        for _ in range(4):
-            item = yield store.get()
-            log.append(("got", item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    puts = [e for e in log if e[0] == "put"]
-    gots = [e for e in log if e[0] == "got"]
-    assert [i for _, i, _ in gots] == [0, 1, 2, 3]
-    assert puts[2][2] == 1.0  # third put blocked until first get

@@ -128,6 +128,38 @@ def test_run_stream_experiment_deterministic_under_seed():
     assert once() == once()
 
 
+def _at_once(short, n):
+    return RequestStream([Request(app_by_short(short), 0.0) for _ in range(n)])
+
+
+def test_latency_quantiles_are_read_under_the_null_registry():
+    # A programmatic run gets the null registry, whose histogram records
+    # nothing: the run's quantiles must come from its own samples.
+    run = run_stream_experiment(
+        system_factories()["GMin-Strings"], [_at_once("GA", 2)], build_small_server
+    )
+    assert run.completed == 2
+    p50, p99 = run.latency_quantile(0.5), run.latency_quantile(0.99)
+    assert 0 < p50 <= p99 <= run.latency_max_s
+    assert p99 == pytest.approx(run.latency_max_s, rel=0.01)
+
+
+def test_runs_sharing_a_label_keep_their_own_latency_quantiles():
+    tel = obs.Telemetry()
+    gmin = system_factories()["GMin-Strings"]
+    slow = run_stream_experiment(
+        gmin, [_at_once("BS", 2)], build_small_server, label="same", telemetry=tel
+    )
+    fast = run_stream_experiment(
+        gmin, [_at_once("GA", 1)], build_small_server, label="same", telemetry=tel
+    )
+    assert fast.latency_max_s < slow.latency_max_s
+    assert fast.latency_quantile(0.99) <= fast.latency_max_s
+    assert slow.latency_quantile(0.99) <= slow.latency_max_s
+    # The registry's histogram still gets every request, for exports.
+    assert tel.histogram("harness.latency_s", label="same").count == 3
+
+
 def test_prewarm_sft_populates_all_apps():
     env = Environment()
     nodes, net = build_small_server(env)

@@ -82,21 +82,9 @@ def test_rng_streams_reproducible(seed):
 @settings(max_examples=20)
 def test_exponential_mean_statistics(seed):
     rng = RandomStream(seed, "mean-test")
-    xs = rng.exponential_array(3.0, 4000)
-    assert np.all(xs >= 0)
+    xs = [rng.exponential(3.0) for _ in range(4000)]
+    assert min(xs) >= 0
     assert np.mean(xs) == pytest.approx(3.0, rel=0.15)
-
-
-@given(
-    st.integers(min_value=0, max_value=100),
-    st.floats(min_value=0.01, max_value=10.0),
-)
-@settings(max_examples=25)
-def test_arrival_times_sorted_within_horizon(seed, mean):
-    rng = RandomStream(seed)
-    ts = list(rng.arrival_times(mean, horizon=20 * mean))
-    assert ts == sorted(ts)
-    assert all(0 < t <= 20 * mean for t in ts)
 
 
 # -- DES kernel --------------------------------------------------------------------------
@@ -130,10 +118,11 @@ def test_resource_never_exceeds_capacity(capacity, durations):
     peak = {"value": 0}
 
     def worker(env, hold):
-        with res.request() as req:
-            yield req
-            peak["value"] = max(peak["value"], res.count)
-            yield env.timeout(hold)
+        req = res.request()
+        yield req
+        peak["value"] = max(peak["value"], res.count)
+        yield env.timeout(hold)
+        res.release(req)
 
     for d in durations:
         env.process(worker(env, d))

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    Event,
-    EventPriority,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import Environment, Event, EventPriority, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -99,8 +93,8 @@ def test_same_time_events_fifo_order():
 
 
 def test_urgent_events_run_before_queued_normal_ones():
-    # A process start (Initialize) and an interrupt are URGENT: at equal
-    # time they overtake a NORMAL event that was queued before them.
+    # A process start (Initialize) and any event scheduled URGENT overtake
+    # a NORMAL event that was queued before them at the same time.
     env = Environment()
     log = []
 
@@ -115,24 +109,19 @@ def test_urgent_events_run_before_queued_normal_ones():
         log.append("initialize@0")
         yield env.timeout(10.0)
 
-    def sleeper(env):
-        try:
-            yield env.timeout(10.0)
-        except Interrupt:
-            log.append("interrupt@1")
-
-    def poker(env, victim):
+    def poker(env):
         yield env.timeout(1.0)
         queued = env.event()
         queued.callbacks.append(note("normal@1"))
         queued.succeed()
-        victim.interrupt()
+        urgent = Event(env)
+        urgent.callbacks.append(note("urgent@1"))
+        env.schedule(urgent, EventPriority.URGENT)
 
     env.process(starter(env))
-    victim = env.process(sleeper(env))
-    env.process(poker(env, victim))
+    env.process(poker(env))
     env.run()
-    assert log == ["initialize@0", "normal@0", "interrupt@1", "normal@1"]
+    assert log == ["initialize@0", "normal@0", "urgent@1", "normal@1"]
 
 
 def test_run_processes_every_event_through_step(monkeypatch):
@@ -257,50 +246,33 @@ def test_process_waits_on_other_process():
 
 def test_all_of_waits_for_every_event():
     env = Environment()
+    t1 = env.timeout(1.0, value="one")
+    t2 = env.timeout(4.0, value="four")
 
     def proc(env):
-        t1 = env.timeout(1.0, value="one")
-        t2 = env.timeout(4.0, value="four")
-        results = yield env.all_of([t1, t2])
-        return (env.now, results[t1], results[t2])
+        result = yield env.all_of([t1, t2])
+        return (env.now, result)
 
     p = env.process(proc(env))
     env.run()
-    assert p.value == (4.0, "one", "four")
+    assert p.value == (4.0, None)
+    assert t1.processed and t2.processed
+    assert (t1.value, t2.value) == ("one", "four")
 
 
 def test_any_of_returns_on_first_event():
     env = Environment()
+    t1 = env.timeout(1.0, value="fast")
+    t2 = env.timeout(4.0, value="slow")
 
     def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(4.0, value="slow")
-        results = yield env.any_of([t1, t2])
-        assert t1 in results
-        assert t2 not in results
-        return env.now
+        result = yield env.any_of([t1, t2])
+        return (env.now, result, t1.processed, t2.processed)
 
     p = env.process(proc(env))
     env.run(until=10.0)
-    assert p.value == 1.0
-
-
-def test_and_or_operators_compose_events():
-    env = Environment()
-
-    def proc(env):
-        a = env.timeout(1.0)
-        b = env.timeout(2.0)
-        yield a & b
-        first = env.now
-        c = env.timeout(1.0)
-        d = env.timeout(5.0)
-        yield c | d
-        return (first, env.now)
-
-    p = env.process(proc(env))
-    env.run(until=20.0)
-    assert p.value == (2.0, 3.0)
+    assert p.value == (1.0, None, True, False)
+    assert t1.value == "fast"
 
 
 def test_empty_all_of_triggers_immediately():
@@ -315,73 +287,6 @@ def test_empty_all_of_triggers_immediately():
     assert p.value == 0.0
 
 
-def test_interrupt_raises_in_target_process():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-            return "slept"
-        except Interrupt as i:
-            return ("interrupted", i.cause, env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt("wake-up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == ("interrupted", "wake-up", 2.0)
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_reawait_target():
-    env = Environment()
-
-    def sleeper(env):
-        target = env.timeout(10.0)
-        try:
-            yield target
-        except Interrupt:
-            pass
-        yield target  # resume waiting on the same timeout
-        return env.now
-
-    def interrupter(env, victim):
-        yield env.timeout(3.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == 10.0
-
-
-def test_env_exit_terminates_process_with_value():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1.0)
-        env.exit("early")
-        yield env.timeout(100.0)  # pragma: no cover - unreachable
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == "early"
-
-
 def test_yield_non_event_fails_process():
     env = Environment()
 
@@ -391,26 +296,6 @@ def test_yield_non_event_fails_process():
     env.process(bad(env))
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_process_is_alive_lifecycle():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(5.0)
-
-    p = env.process(proc(env))
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-    env2 = Environment()
-    assert env2.peek() == float("inf")
 
 
 def test_run_until_event_already_processed():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, PriorityResource and Store."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_capacity_validation():
@@ -17,10 +17,11 @@ def test_resource_grants_up_to_capacity():
     log = []
 
     def worker(env, res, name):
-        with res.request() as req:
-            yield req
-            log.append((env.now, name, "got"))
-            yield env.timeout(2.0)
+        req = res.request()
+        yield req
+        log.append((env.now, name, "got"))
+        yield env.timeout(2.0)
+        res.release(req)
 
     for name in "abc":
         env.process(worker(env, res, name))
@@ -34,10 +35,11 @@ def test_resource_counts():
     res = Resource(env, capacity=1)
 
     def holder(env, res):
-        with res.request() as req:
-            yield req
-            assert res.count == 1
-            yield env.timeout(1.0)
+        req = res.request()
+        yield req
+        assert res.count == 1
+        yield env.timeout(1.0)
+        res.release(req)
 
     def observer(env, res):
         yield env.timeout(0.5)
@@ -52,104 +54,27 @@ def test_resource_counts():
     assert res.queued == 0
 
 
-def test_resource_fifo_ignores_priority():
+def test_resource_grants_in_request_order():
     env = Environment()
     res = Resource(env, capacity=1)
     order = []
 
-    def worker(env, res, name, prio):
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1.0)
-
-    def spawn(env):
-        env.process(worker(env, res, "first", prio=10))
-        yield env.timeout(0)
-        env.process(worker(env, res, "second", prio=0))
-        env.process(worker(env, res, "third", prio=5))
-
-    env.process(spawn(env))
-    env.run()
-    assert order == ["first", "second", "third"]
-
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(env, res, name, prio):
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1.0)
-
-    def spawn(env):
-        env.process(worker(env, res, "holder", prio=0))
-        yield env.timeout(0.1)
-        env.process(worker(env, res, "low", prio=9))
-        env.process(worker(env, res, "high", prio=1))
-        env.process(worker(env, res, "mid", prio=5))
-
-    env.process(spawn(env))
-    env.run()
-    assert order == ["holder", "high", "mid", "low"]
-
-
-def test_priority_ties_break_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
     def worker(env, res, name):
-        with res.request(priority=3) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1.0)
+        req = res.request()
+        yield req
+        order.append((env.now, name))
+        yield env.timeout(1.0)
+        res.release(req)
 
     def spawn(env):
-        env.process(worker(env, res, "h"))
-        yield env.timeout(0.1)
-        for name in "abc":
+        env.process(worker(env, res, "first"))
+        yield env.timeout(0)
+        for name in ("second", "third", "fourth"):
             env.process(worker(env, res, name))
 
     env.process(spawn(env))
     env.run()
-    assert order == ["h", "a", "b", "c"]
-
-
-def test_cancel_queued_request():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    got = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(5.0)
-
-    def impatient(env):
-        req = res.request()
-        result = yield req | env.timeout(1.0)
-        if req not in result:
-            req.cancel()
-            got.append("gave-up")
-        else:
-            got.append("got-it")  # pragma: no cover
-
-    def patient(env):
-        yield env.timeout(0.5)
-        with res.request() as req:
-            yield req
-            got.append(("patient", env.now))
-
-    env.process(holder(env))
-    env.process(impatient(env))
-    env.process(patient(env))
-    env.run()
-    assert "gave-up" in got
-    assert ("patient", 5.0) in got
+    assert order == [(0.0, "first"), (1.0, "second"), (2.0, "third"), (3.0, "fourth")]
 
 
 def test_store_put_get_fifo():
@@ -213,60 +138,13 @@ def test_store_multiple_getters_fifo():
     assert out == [("c1", "first"), ("c2", "second")]
 
 
-def test_bounded_store_blocks_putters():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        log.append(("put-a", env.now))
-        yield store.put("b")
-        log.append(("put-b", env.now))
-
-    def consumer(env):
-        yield env.timeout(2.0)
-        item = yield store.get()
-        log.append(("got", item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert ("put-a", 0.0) in log
-    assert ("got", "a", 2.0) in log
-    assert ("put-b", 2.0) in log
-
-
-def test_store_capacity_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    env.run()
-    assert len(store) == 2
-
-
-def test_store_put_nowait_queues_no_event():
+def test_store_put_queues_no_event():
     env = Environment()
     store = Store(env)
     getter = store.get()
-    store.put_nowait("first")  # handed to the waiting getter
-    store.put_nowait("second")  # enqueued
+    assert store.put("first") is None  # handed to the waiting getter
+    store.put("second")  # enqueued
     assert env.queue_depth == 1  # the getter's event, nothing for the puts
     env.run()
     assert getter.value == "first"
     assert list(store.items) == ["second"]
-
-
-def test_full_bounded_store_rejects_put_nowait():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put_nowait("a")
-    with pytest.raises(OverflowError):
-        store.put_nowait("b")
