@@ -6,7 +6,9 @@ pair subset — the full sweep is ``python -m repro.harness <fig>``) and
 asserts the paper's qualitative *shape* on the result.  The suite runs
 under plain pytest (``pytest benchmarks/``): these are simulation
 experiments, not microbenchmarks, so nothing times them and their
-interesting output is the figure data itself.
+interesting output is the figure data itself.  Each figure runs through
+the experiment registry, as the CLI runs it, so the tests read the same
+JSON round-tripped document ``results.json`` holds.
 """
 
 import os
@@ -16,17 +18,14 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-import pytest
+from repro.harness import registry
+from repro.harness.runner import SCALE_QUICK
 
 
-@pytest.fixture
-def once():
-    """Run the measured callable exactly once and return its result."""
-
-    def _run(fn, *args, **kwargs):
-        return fn(*args, **kwargs)
-
-    return _run
+def run_experiment(name, **options):
+    """Experiment ``name``'s results document at CI scale."""
+    ctx = registry.ExperimentContext(scale=SCALE_QUICK, options=options)
+    return registry.execute(name, ctx)[1]
 
 
 #: Representative pair subset for the 24-pair figures: covers

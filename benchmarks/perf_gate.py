@@ -88,16 +88,8 @@ def exponential_stream_for(app, rng, scale):
 
 
 def _scenario_chaos(telemetry):
-    """The chaos fault-injection scenario at quick scale, run through the
-    experiment registry (same ``chaos.run`` underneath, so the sim-time
-    vector is unchanged)."""
-    from repro.harness import registry
-    from repro.harness.runner import SCALE_QUICK
-
-    exp = registry.get("chaos")()
-    ctx = registry.ExperimentContext(scale=SCALE_QUICK, telemetry=telemetry)
-    exp.prepare(ctx)
-    exp.run(ctx)
+    """The chaos fault-injection scenario at quick scale."""
+    _experiment(telemetry, "chaos")
 
 
 def _scenario_scaleout(telemetry):
@@ -178,14 +170,22 @@ def _installed(telemetry, call):
         obs.install(previous)
 
 
+def _experiment(telemetry, name, **options):
+    """Registered experiment ``name`` at quick scale, recording into
+    ``telemetry``; returns its JSON round-tripped results document."""
+    from repro.harness import registry
+    from repro.harness.runner import SCALE_QUICK
+
+    ctx = registry.ExperimentContext(scale=SCALE_QUICK, options=options)
+    _exp, results = _installed(telemetry, lambda: registry.execute(name, ctx))
+    return results
+
+
 def _scenario_fig11a(telemetry):
     """Fig. 11 pair A: closed-loop sharing and solo references, every system.
 
     Extras: each system's pair-A Jain fairness."""
-    from repro.harness import fig11
-    from repro.harness.runner import SCALE_QUICK
-
-    fairness = _installed(telemetry, lambda: fig11.run(SCALE_QUICK, pair_labels=("A",)))
+    fairness = _experiment(telemetry, "fig11", pairs=["A"])
     return {f"fairness_{system}": by_pair["A"] for system, by_pair in fairness.items()}
 
 
@@ -210,9 +210,7 @@ def _scenario_table1(telemetry):
     """Table I: one solo request per app under the bare CUDA runtime.
 
     Extras: every app's four measured columns."""
-    from repro.harness import table1
-
-    profiles = _installed(telemetry, table1.run)
+    profiles = _experiment(telemetry, "table1")
     return {
         f"{app}_{column}": value
         for app, columns in profiles.items()

@@ -21,7 +21,7 @@ from repro.harness.ablations import _batch, _makespan
 from repro.harness.runner import closed_loop_shared_run, solo_completion_time
 
 
-def test_ablation_context_packing(once):
+def test_ablation_context_packing():
     """Design III (Strings) vs Design I (Rain) at identical balancing."""
 
     def measure():
@@ -35,12 +35,12 @@ def test_ablation_context_packing(once):
         )
         return packed, unpacked
 
-    packed, unpacked = once(measure)
+    packed, unpacked = measure()
     # Packing lets co-located tenants overlap: strictly faster.
     assert packed < unpacked
 
 
-def test_ablation_mot(once):
+def test_ablation_mot():
     """Sync->async memcpy translation on the transfer-dominated MonteCarlo."""
 
     def measure():
@@ -54,11 +54,11 @@ def test_ablation_mot(once):
         )
         return with_mot, without
 
-    with_mot, without = once(measure)
+    with_mot, without = measure()
     assert with_mot < without  # pinned + async overlap wins
 
 
-def test_ablation_sst(once):
+def test_ablation_sst():
     """Device-sync vs stream-sync inside a packed context.
 
     Without SST, the short Gaussian tenant's every cudaDeviceSynchronize
@@ -76,12 +76,12 @@ def test_ablation_sst(once):
     def measure():
         return completion_per_app(True), completion_per_app(False)
 
-    with_sst, without = once(measure)
+    with_sst, without = measure()
     # The victim of whole-context synchronization is the short tenant.
     assert with_sst["GA"] < without["GA"]
 
 
-def test_ablation_tfs_history_penalty(once):
+def test_ablation_tfs_history_penalty():
     """TFS fairness with and without the overshoot-history mechanism."""
 
     def fairness(history: bool):
@@ -105,12 +105,12 @@ def test_ablation_tfs_history_penalty(once):
     def measure():
         return fairness(True), fairness(False)
 
-    with_history, without = once(measure)
+    with_history, without = measure()
     # History can only help fairness (it corrects slice overshoot).
     assert with_history >= without - 0.05
 
 
-def test_ablation_las_decay_constant(once):
+def test_ablation_las_decay_constant():
     """LAS with the paper's k = 0.8 vs an over-smoothed k = 0.1.
 
     A high k tracks recent service (reactive, the paper's choice); a low k
@@ -137,13 +137,13 @@ def test_ablation_las_decay_constant(once):
             out[k] = shared
         return out
 
-    shared = once(measure)
+    shared = measure()
     for k, result in shared.items():
         # LAS favours the short-episode BlackScholes over DXTC at any k.
         assert result["BS"] < result["DC"], k
 
 
-def test_ablation_design2_head_of_line(once):
+def test_ablation_design2_head_of_line():
     """Design II's single master thread stalls every tenant behind one
     blocking call; Design III isolates them (paper Section III.B)."""
     from repro.sim import Environment
@@ -193,6 +193,6 @@ def test_ablation_design2_head_of_line(once):
         env2.run()
         return t_b_done["quick"], t3["quick"]
 
-    design2_quick, design3_quick = once(measure)
+    design2_quick, design3_quick = measure()
     assert design2_quick > 0.05  # stuck behind the 100 ms copy
     assert design3_quick < 0.01  # isolated

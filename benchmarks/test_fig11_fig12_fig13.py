@@ -1,16 +1,14 @@
 """Benchmarks regenerating Fig. 11 (fairness) and Figs. 12-13 (scheduling)."""
 
 import numpy as np
-import pytest
 
-from repro.harness import SCALE_QUICK
-from repro.harness import fig11, fig12, fig13
-from conftest import PAIR_SUBSET
+from repro.harness import fig12
+from conftest import PAIR_SUBSET, run_experiment
 
 
-def test_fig11_benchmark(once):
+def test_fig11_benchmark():
     """Fig. 11: Jain's fairness of TFS vs the CUDA runtime, pair subset."""
-    data = once(fig11.run, SCALE_QUICK, PAIR_SUBSET)
+    data = run_experiment("fig11", pairs=PAIR_SUBSET)
 
     cuda = data["CUDA"]["avg"]
     rain = data["TFS-Rain"]["avg"]
@@ -24,9 +22,9 @@ def test_fig11_benchmark(once):
     assert strings > 0.9
 
 
-def test_fig12_benchmark(once):
+def test_fig12_benchmark():
     """Fig. 12: throughput scheduling + sharing, pair subset."""
-    data = once(fig12.run, SCALE_QUICK, PAIR_SUBSET)
+    data = run_experiment("fig12", pairs=PAIR_SUBSET)
 
     # Scheduling + 4-GPU sharing beats the single-node deployment.
     for policy in fig12.POLICIES:
@@ -45,9 +43,9 @@ def test_fig12_benchmark(once):
     assert las_strings < las_rain
 
 
-def test_fig13_benchmark(once):
+def test_fig13_benchmark():
     """Fig. 13: device scheduling benefit vs 4-GPU-shared GRR, pair subset."""
-    data = once(fig13.run, SCALE_QUICK, PAIR_SUBSET)
+    data = run_experiment("fig13", pairs=PAIR_SUBSET)
 
     # Absolute ordering: LAS-Strings completes requests faster than
     # LAS-Rain on the same workloads (paper: 1.95x vs 1.40x).

@@ -1,16 +1,14 @@
 """Benchmarks regenerating Fig. 14 (RTF/GUF) and Fig. 15 (DTF/MBF)."""
 
 import numpy as np
-import pytest
 
-from repro.harness import SCALE_QUICK
-from repro.harness import fig14, fig15
-from conftest import PAIR_SUBSET
+from repro.harness import fig14
+from conftest import PAIR_SUBSET, run_experiment
 
 
-def test_fig14_benchmark(once):
+def test_fig14_benchmark():
     """Fig. 14: feedback-based balancing, pair subset."""
-    data = once(fig14.run, SCALE_QUICK, PAIR_SUBSET)
+    data = run_experiment("fig14", pairs=PAIR_SUBSET)
 
     # Feedback balancing beats the single-node baseline everywhere.
     for policy in fig14.POLICIES:
@@ -25,9 +23,9 @@ def test_fig14_benchmark(once):
         assert strings < rain, fb
 
 
-def test_fig15_benchmark(once):
+def test_fig15_benchmark():
     """Fig. 15: Strings-specific DTF and MBF, pair subset + CUDA headline."""
-    data = once(fig15.run, SCALE_QUICK, PAIR_SUBSET)
+    data = run_experiment("fig15", pairs=PAIR_SUBSET)
 
     # Both Strings-only feedback policies beat the single-node baseline.
     assert data["DTF-Strings"]["avg"] > 1.0

@@ -1,15 +1,12 @@
 """Benchmarks regenerating Fig. 9 (workload balancing) and Fig. 10 (sharing)."""
 
-import pytest
-
-from repro.harness import SCALE_QUICK
 from repro.harness import fig9, fig10
-from conftest import PAIR_SUBSET
+from conftest import PAIR_SUBSET, run_experiment
 
 
-def test_fig9_benchmark(once):
+def test_fig9_benchmark():
     """Fig. 9: balancing policies vs the CUDA runtime (2-GPU node)."""
-    data = once(fig9.run, SCALE_QUICK)
+    data = run_experiment("fig9")
 
     # Every policy beats static provisioning on average.
     for policy in fig9.POLICIES:
@@ -35,11 +32,9 @@ def test_fig9_benchmark(once):
     # a documented divergence (EXPERIMENTS.md), not asserted either way.
 
 
-def test_fig10_benchmark(once):
+def test_fig10_benchmark():
     """Fig. 10: benefit of sharing the 4-GPU supernode, pair subset."""
-    data = once(
-        fig10.run, SCALE_QUICK, PAIR_SUBSET, tuple(fig10.POLICIES)
-    )
+    data = run_experiment("fig10", pairs=PAIR_SUBSET)
 
     # Sharing all four GPUs beats the single-node deployment on average
     # for every policy/system combination.

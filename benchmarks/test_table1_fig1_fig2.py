@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.harness import SCALE_QUICK
-from repro.harness import table1, fig1, fig2
+from repro.harness import table1
 from repro.apps import ALL_APPS
 from repro.apps.catalog import PAPER_BANDWIDTH_MBPS
+from conftest import run_experiment
 
 
-def test_table1_benchmark(once):
+def test_table1_benchmark():
     """Table I: solo application characteristics."""
-    measured = once(table1.run)
+    measured = run_experiment("table1")
 
     for app in ALL_APPS:
         m = measured[app.short]
@@ -25,9 +25,9 @@ def test_table1_benchmark(once):
     assert ours == paper
 
 
-def test_fig1_benchmark(once):
+def test_fig1_benchmark():
     """Fig. 1: compute/memory characteristic classes."""
-    data = once(fig1.run)
+    data = run_experiment("fig1")
     # The paper's motivating contrast: some apps heavily compute-loaded,
     # some memory-loaded, some negligible on both axes.
     assert data["DC"]["compute_pct"] > 80
@@ -36,9 +36,9 @@ def test_fig1_benchmark(once):
     assert data["GA"]["memory_class"] == "green"
 
 
-def test_fig2_benchmark(once):
+def test_fig2_benchmark():
     """Fig. 2: sequential vs concurrent Monte-Carlo utilization."""
-    data = once(fig2.run, SCALE_QUICK)
+    data = run_experiment("fig2")
     seq, conc = data["sequential"], data["concurrent"]
     # Context packing removes every context switch (the 'glitches')...
     assert seq["ctx_switches"] > 0

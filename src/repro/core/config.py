@@ -39,14 +39,9 @@ class SchedulerConfig:
         Decay constant of eq. 1 (``CGS_n = k GS_n + (1-k) CGS_{n-1}``).
     ps_quantum_s:
         Phase Selection re-evaluation period.
-    dispatch_poll_s:
-        Dispatcher idle-poll interval when a woken thread shows no demand
-        (work-conservation check).
     registration_overhead_s:
         Cost of the 3-way RT-signal registration handshake (two IPC hops +
         signal-handler installation).
-    monitor_interval_s:
-        Request Monitor RCB refresh period (used by the monitoring probe).
     malloc_retry_s:
         Device-memory admission: how often a blocked ``cudaMalloc``
         retries.  The paper assumes request rates never exhaust device
@@ -65,9 +60,7 @@ class SchedulerConfig:
     las_quantum_s: float = 0.020
     las_k: float = 0.8
     ps_quantum_s: float = 0.010
-    dispatch_poll_s: float = 0.002
     registration_overhead_s: float = 25e-6
-    monitor_interval_s: float = 0.050
     malloc_retry_s: float = 0.025
     malloc_max_wait_s: float = 1800.0
 

@@ -1,8 +1,10 @@
 """Experiment harness: one registered experiment per paper table/figure.
 
-Every module exposes ``run(scale) -> dict`` returning the figure's series
-and a ``main()`` that prints the same rows the paper reports.  Run from
-the command line (a bare name means ``run NAME``)::
+Every experiment module registers one :class:`~repro.harness.registry.Experiment`
+class whose ``run`` returns the figure's series and whose ``analyze``
+renders the rows the paper reports.  Code runs one with
+``registry.execute(name, registry.ExperimentContext(scale=..., options=...))``;
+the command line makes the same call (a bare name means ``run NAME``)::
 
     python -m repro.harness list
     python -m repro.harness table1

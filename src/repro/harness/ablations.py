@@ -23,8 +23,6 @@ from repro.metrics import jains_fairness
 from repro.workloads import Request, RequestStream
 from repro.harness import registry
 from repro.harness.runner import (
-    ExperimentScale,
-    SCALE_PAPER,
     closed_loop_shared_run,
     run_stream_experiment,
     solo_completion_time,
@@ -192,25 +190,22 @@ def ablate_arbiter_cold_start() -> Dict[str, object]:
     }
 
 
-def run(scale: ExperimentScale = SCALE_PAPER) -> Dict[str, object]:
-    """All ablations; returns a nested dict of results."""
-    return {
-        "context_packing_makespan_s": ablate_context_packing(),
-        "mot_makespan_s": ablate_mot(),
-        "sst_short_tenant_completion_s": ablate_sst(),
-        "backend_design_ga_completion_s": ablate_backend_designs(),
-        "tfs_history_fairness": ablate_tfs_history(scale.fairness_window_s / 2),
-        "las_k_completions_s": ablate_las_k(scale.fairness_window_s / 2),
-        "arbiter_cold_start": ablate_arbiter_cold_start(),
-    }
-
-
 @registry.register("ablations", aliases=("ablate",))
 class Ablations(registry.Experiment):
     """Ablations — per-mechanism contribution of Strings' design choices."""
 
     def run(self, ctx: registry.ExperimentContext):
-        return run(ctx.scale)
+        """All ablations; returns a nested dict of results."""
+        window_s = ctx.scale.fairness_window_s / 2
+        return {
+            "context_packing_makespan_s": ablate_context_packing(),
+            "mot_makespan_s": ablate_mot(),
+            "sst_short_tenant_completion_s": ablate_sst(),
+            "backend_design_ga_completion_s": ablate_backend_designs(),
+            "tfs_history_fairness": ablate_tfs_history(window_s),
+            "las_k_completions_s": ablate_las_k(window_s),
+            "arbiter_cold_start": ablate_arbiter_cold_start(),
+        }
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         lines: List[str] = ["Ablations — contribution of each Strings mechanism", ""]
@@ -257,7 +252,3 @@ class Ablations(registry.Experiment):
             f"(transitions {transitions})"
         )
         return "\n".join(lines)
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("ablations", scale=scale)

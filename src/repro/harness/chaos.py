@@ -11,8 +11,6 @@ the availability summary shows real per-tenant downtime.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import repro.faults as faults
 from repro.sim.rng import RandomStream
 from repro.cluster import build_paper_supernode
@@ -24,7 +22,6 @@ from repro.harness import registry
 from repro.harness.format import format_table
 from repro.harness.runner import (
     ExperimentScale,
-    SCALE_PAPER,
     run_stream_experiment,
     system_factories,
 )
@@ -63,56 +60,46 @@ def default_plan(streams) -> FaultPlan:
     return plan
 
 
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    policy: str = DEFAULT_POLICY,
-    plan: Optional[FaultPlan] = None,
-    telemetry=None,
-) -> Dict[str, object]:
-    """Run the chaos scenario; returns offered/completed/lost and the
-    recovery manager's availability summary."""
-    streams = chaos_streams(scale)
-    if plan is None:
-        # An installed plan (harness --faults) overrides the built-in scenario.
-        plan = faults.current_plan() or default_plan(streams)
-    res = run_stream_experiment(
-        system_factories()[policy],
-        streams,
-        build_paper_supernode,
-        label=f"chaos:{policy}",
-        telemetry=telemetry,
-        fault_plan=plan,
-    )
-    offered, completed = res.offered, res.completed
-    summary = res.faults_summary or {}
-    return {
-        "policy": policy,
-        "offered": offered,
-        "completed": completed,
-        "lost": summary.get("requests_lost", offered - completed),
-        "redispatched": summary.get("requests_redispatched", 0),
-        "retries": summary.get("retries", 0),
-        "faults_injected": summary.get("faults_injected", {}),
-        "tenant_downtime_s": summary.get("tenant_downtime_s", {}),
-        "gpu_downtime_s": summary.get("gpu_downtime_s", {}),
-        "mean_completion_s": mean_completion_s(res.results) if res.results else 0.0,
-        "sim_time_s": res.sim_time_s,
-        "goodput_rps": completed / res.sim_time_s if res.sim_time_s > 0 else 0.0,
-    }
-
-
 @registry.register("chaos")
 class Chaos(registry.Experiment):
     """Chaos — zero-loss self-healing under an injected GPU loss + crash."""
 
     options = {"policy": "system factory name (default GMin-Strings)"}
 
-    def run(self, ctx: registry.ExperimentContext):
-        return run(
-            ctx.scale,
-            policy=str(ctx.option("policy", DEFAULT_POLICY)),
-            telemetry=ctx.telemetry,
+    def prepare(self, ctx: registry.ExperimentContext) -> None:
+        self.policy = ctx.parsed_option(
+            "policy", registry.one_of(list(system_factories())), DEFAULT_POLICY
         )
+
+    def run(self, ctx: registry.ExperimentContext):
+        """Offered/completed/lost and the recovery manager's availability
+        summary."""
+        streams = chaos_streams(ctx.scale)
+        # An installed plan (harness --faults) overrides the built-in scenario.
+        plan = faults.current_plan() or default_plan(streams)
+        res = run_stream_experiment(
+            system_factories()[self.policy],
+            streams,
+            build_paper_supernode,
+            label=f"chaos:{self.policy}",
+            fault_plan=plan,
+        )
+        offered, completed = res.offered, res.completed
+        summary = res.faults_summary or {}
+        return {
+            "policy": self.policy,
+            "offered": offered,
+            "completed": completed,
+            "lost": summary.get("requests_lost", offered - completed),
+            "redispatched": summary.get("requests_redispatched", 0),
+            "retries": summary.get("retries", 0),
+            "faults_injected": summary.get("faults_injected", {}),
+            "tenant_downtime_s": summary.get("tenant_downtime_s", {}),
+            "gpu_downtime_s": summary.get("gpu_downtime_s", {}),
+            "mean_completion_s": mean_completion_s(res.results) if res.results else 0.0,
+            "sim_time_s": res.sim_time_s,
+            "goodput_rps": completed / res.sim_time_s if res.sim_time_s > 0 else 0.0,
+        }
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         downtime = data["tenant_downtime_s"]
@@ -139,7 +126,3 @@ class Chaos(registry.Experiment):
             f"[chaos] requests lost: {data['lost']} of {data['offered']} offered",
         ]
         return "\n".join(lines)
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("chaos", scale=scale)

@@ -26,31 +26,27 @@ def classify(pct: float) -> str:
     return "yellow"
 
 
-def run(scale=None) -> Dict[str, Dict[str, object]]:
-    """Per-app compute/memory utilization percentages and classes."""
-    out: Dict[str, Dict[str, object]] = {}
-    for app in ALL_APPS:
-        kernel_busy = app.iterations * app.kernel_solo_s(REFERENCE_SPEC)
-        runtime = app.solo_runtime_s(REFERENCE_SPEC)
-        compute_pct = 100.0 * kernel_busy / runtime
-        memory_pct = 100.0 * (
-            app.memory_bandwidth_gbps(REFERENCE_SPEC) / REFERENCE_SPEC.mem_bandwidth_gbps
-        )
-        out[app.short] = {
-            "compute_pct": compute_pct,
-            "memory_pct": memory_pct,
-            "compute_class": classify(compute_pct),
-            "memory_class": classify(memory_pct),
-        }
-    return out
-
-
 @registry.register("fig1")
 class Fig1(registry.Experiment):
     """Fig. 1 — per-app compute/memory utilization classes (analytic, no DES)."""
 
     def run(self, ctx: registry.ExperimentContext):
-        return run()
+        """Per-app compute/memory utilization percentages and classes."""
+        out: Dict[str, Dict[str, object]] = {}
+        for app in ALL_APPS:
+            kernel_busy = app.iterations * app.kernel_solo_s(REFERENCE_SPEC)
+            runtime = app.solo_runtime_s(REFERENCE_SPEC)
+            compute_pct = 100.0 * kernel_busy / runtime
+            memory_pct = 100.0 * (
+                app.memory_bandwidth_gbps(REFERENCE_SPEC) / REFERENCE_SPEC.mem_bandwidth_gbps
+            )
+            out[app.short] = {
+                "compute_pct": compute_pct,
+                "memory_pct": memory_pct,
+                "compute_class": classify(compute_pct),
+                "memory_class": classify(memory_pct),
+            }
+        return out
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         rows = [
@@ -71,7 +67,3 @@ class Fig1(registry.Experiment):
         assert data["DC"]["compute_class"] != "green"
         assert data["GA"]["compute_class"] == "green"
         return out
-
-
-def main() -> str:
-    return registry.run_main("fig1")

@@ -16,12 +16,8 @@ BlackScholes or Gaussian (I, K, W).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-from repro.workloads import PAIRS
 from repro.harness import registry
 from repro.harness.pairsweep import PairFigure
-from repro.harness.runner import ExperimentScale, SCALE_PAPER
 
 POLICIES = [
     "GRR-Rain",
@@ -53,20 +49,8 @@ class Fig10(PairFigure):
         "(vs single-node GRR of the same system family)"
     )
 
-    def sweep(self, *args, **kw):
-        data = super().sweep(*args, **kw)
+    def run(self, ctx: registry.ExperimentContext):
+        """speedup[policy][pair_label] plus 'avg' per policy."""
+        data = super().run(ctx)
         del data["_means"]  # the figure reports speedups only
         return data
-
-
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    pair_labels: Sequence[str] = tuple(PAIRS),
-    policies: Sequence[str] = tuple(POLICIES),
-) -> Dict[str, Dict[str, float]]:
-    """speedup[policy][pair_label] plus 'avg' per policy."""
-    return Fig10().sweep(scale, pair_labels, policies)
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("fig10", scale=scale)

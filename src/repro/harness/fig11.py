@@ -12,7 +12,7 @@ Paper: TFS-Strings averages 91% — 13% better than the CUDA runtime and
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from repro.workloads import PAIRS, pair_apps
 from repro.harness import registry
 from repro.harness.format import format_table
 from repro.harness.runner import (
-    ExperimentScale,
-    SCALE_PAPER,
     closed_loop_shared_run,
     solo_completion_time,
     system_factories,
@@ -32,52 +30,6 @@ from repro.harness.runner import (
 SYSTEMS = ["CUDA", "TFS-Rain", "TFS-Strings"]
 
 PAPER_AVERAGES = {"TFS-Strings": 0.91}
-
-
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    pair_labels: Sequence[str] = tuple(PAIRS),
-    systems: Sequence[str] = tuple(SYSTEMS),
-) -> Dict[str, Dict[str, float]]:
-    """fairness[system][pair_label] plus 'avg'."""
-    factories = system_factories()
-    fairness: Dict[str, Dict[str, float]] = {s: {} for s in systems}
-
-    # Solo references per (system, app) are cached: they do not depend on
-    # the pairing.
-    solo_cache: Dict[tuple, float] = {}
-
-    def solo(system: str, app) -> float:
-        key = (system, app.short)
-        if key not in solo_cache:
-            solo_cache[key] = solo_completion_time(
-                factories[system], app, build_single_gpu_server
-            )
-        return solo_cache[key]
-
-    for label in pair_labels:
-        app_a, app_b = pair_apps(label)
-        for system in systems:
-            shared = closed_loop_shared_run(
-                factories[system],
-                [app_a, app_b],
-                build_single_gpu_server,
-                window_s=scale.fairness_window_s,
-            )
-            progress = [
-                solo(system, app_a) / shared[app_a.short],
-                solo(system, app_b) / shared[app_b.short],
-            ]
-            fairness[system][label] = jains_fairness(progress)
-
-    for system in systems:
-        fairness[system]["avg"] = float(
-            np.mean([fairness[system][l] for l in pair_labels])
-        )
-        fairness[system]["max"] = float(
-            np.max([fairness[system][l] for l in pair_labels])
-        )
-    return fairness
 
 
 @registry.register("fig11")
@@ -89,12 +41,50 @@ class Fig11(registry.Experiment):
         "systems": "system subset",
     }
 
+    def prepare(self, ctx: registry.ExperimentContext) -> None:
+        self.pairs = ctx.parsed_option("pairs", registry.some_of(PAIRS), tuple(PAIRS))
+        self.systems = ctx.parsed_option("systems", registry.some_of(SYSTEMS), SYSTEMS)
+
     def run(self, ctx: registry.ExperimentContext):
-        return run(
-            ctx.scale,
-            pair_labels=tuple(ctx.option("pairs", tuple(PAIRS))),
-            systems=tuple(ctx.option("systems", tuple(SYSTEMS))),
-        )
+        """fairness[system][pair_label] plus 'avg' and 'max'."""
+        factories = system_factories()
+        fairness: Dict[str, Dict[str, float]] = {s: {} for s in self.systems}
+
+        # Solo references per (system, app) are cached: they do not depend
+        # on the pairing.
+        solo_cache: Dict[tuple, float] = {}
+
+        def solo(system: str, app) -> float:
+            key = (system, app.short)
+            if key not in solo_cache:
+                solo_cache[key] = solo_completion_time(
+                    factories[system], app, build_single_gpu_server
+                )
+            return solo_cache[key]
+
+        for label in self.pairs:
+            app_a, app_b = pair_apps(label)
+            for system in self.systems:
+                shared = closed_loop_shared_run(
+                    factories[system],
+                    [app_a, app_b],
+                    build_single_gpu_server,
+                    window_s=ctx.scale.fairness_window_s,
+                )
+                progress = [
+                    solo(system, app_a) / shared[app_a.short],
+                    solo(system, app_b) / shared[app_b.short],
+                ]
+                fairness[system][label] = jains_fairness(progress)
+
+        for system in self.systems:
+            fairness[system]["avg"] = float(
+                np.mean([fairness[system][l] for l in self.pairs])
+            )
+            fairness[system]["max"] = float(
+                np.max([fairness[system][l] for l in self.pairs])
+            )
+        return fairness
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         systems = [s for s in SYSTEMS if s in data]
@@ -113,7 +103,3 @@ class Fig11(registry.Experiment):
                   "(paper: TFS-Strings avg 91%, +13% vs CUDA, +7.14% vs TFS-Rain)",
             floatfmt="{:.1f}",
         )
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("fig11", scale=scale)

@@ -11,12 +11,8 @@ LAS-Rain.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-from repro.workloads import PAIRS
 from repro.harness import registry
 from repro.harness.pairsweep import PairFigure
-from repro.harness.runner import ExperimentScale, SCALE_PAPER
 
 POLICIES = ["GWtMin+LAS-Rain", "GWtMin+LAS-Strings", "GWtMin+PS-Strings"]
 
@@ -38,14 +34,3 @@ class Fig12(PairFigure):
         "(vs single-node GRR of the same family)"
     )
 
-
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    pair_labels: Sequence[str] = tuple(PAIRS),
-    policies: Sequence[str] = tuple(POLICIES),
-) -> Dict[str, Dict[str, float]]:
-    return Fig12().sweep(scale, pair_labels, policies)
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("fig12", scale=scale)

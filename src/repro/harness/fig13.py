@@ -9,12 +9,8 @@ Paper averages: LAS-Rain 1.40x, LAS-Strings 1.95x, PS-Strings 1.90x.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-from repro.workloads import PAIRS
 from repro.harness import registry
 from repro.harness.pairsweep import PairFigure
-from repro.harness.runner import ExperimentScale, SCALE_PAPER
 
 POLICIES = ["LAS-Rain", "LAS-Strings", "PS-Strings"]
 
@@ -33,14 +29,3 @@ class Fig13(PairFigure):
         "(vs 4-GPU-shared GRR of the same family)"
     )
 
-
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    pair_labels: Sequence[str] = tuple(PAIRS),
-    policies: Sequence[str] = tuple(POLICIES),
-) -> Dict[str, Dict[str, float]]:
-    return Fig13().sweep(scale, pair_labels, policies)
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("fig13", scale=scale)

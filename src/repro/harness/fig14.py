@@ -12,12 +12,8 @@ GUF-Strings 3.96x; GUF shines on pairs with contrasting GPU utilization.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-from repro.workloads import PAIRS
 from repro.harness import registry
 from repro.harness.pairsweep import PairFigure
-from repro.harness.runner import ExperimentScale, SCALE_PAPER
 
 POLICIES = ["RTF-Rain", "GUF-Rain", "RTF-Strings", "GUF-Strings"]
 
@@ -41,14 +37,3 @@ class Fig14(PairFigure):
         "(vs single-node GRR of the same family; SFT pre-warmed)"
     )
 
-
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    pair_labels: Sequence[str] = tuple(PAIRS),
-    policies: Sequence[str] = tuple(POLICIES),
-) -> Dict[str, Dict[str, float]]:
-    return Fig14().sweep(scale, pair_labels, policies)
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("fig14", scale=scale)

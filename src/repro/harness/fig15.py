@@ -13,14 +13,10 @@ information and wins nearly everywhere.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 import numpy as np
 
-from repro.workloads import PAIRS
 from repro.harness import registry
 from repro.harness.pairsweep import PairFigure
-from repro.harness.runner import ExperimentScale, SCALE_PAPER
 
 POLICIES = ["DTF-Strings", "MBF-Strings"]
 
@@ -43,28 +39,22 @@ class Fig15(PairFigure):
         "(vs single-node GRR-Strings; SFT pre-warmed)"
     )
 
-    def sweep(
-        self, scale, pair_labels=tuple(PAIRS), policies=None, include_cuda_headline=True
-    ):
-        data = super().sweep(
-            scale, pair_labels, policies,
-            extra_systems=("CUDA",) if include_cuda_headline else (),
-        )
-        if include_cuda_headline:
+    def prepare(self, ctx: registry.ExperimentContext) -> None:
+        super().prepare(ctx)
+        headline = ctx.parsed_option("cuda_headline", registry.boolean, True)
+        # The headline compares MBF with the bare runtime: no MBF, no headline.
+        if headline and "MBF-Strings" in self.subset:
+            self.extra_systems = ("CUDA",)
+
+    def run(self, ctx: registry.ExperimentContext):
+        data = super().run(ctx)
+        if self.extra_systems:
             means = data["_means"]
             headline = [
-                means["CUDA"][l] / means["MBF-Strings"][l] for l in pair_labels
+                means["CUDA"][l] / means["MBF-Strings"][l] for l in self.pairs
             ]
             data["mbf_vs_cuda_avg"] = float(np.mean(headline))
         return data
-
-    def run(self, ctx: registry.ExperimentContext):
-        return self.sweep(
-            ctx.scale,
-            pair_labels=tuple(ctx.option("pairs", tuple(PAIRS))),
-            policies=tuple(ctx.option("policies", tuple(self.policies))),
-            include_cuda_headline=bool(ctx.option("cuda_headline", True)),
-        )
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         out = super().analyze(data, ctx)
@@ -75,15 +65,3 @@ class Fig15(PairFigure):
             )
         return out
 
-
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    pair_labels: Sequence[str] = tuple(PAIRS),
-    policies: Sequence[str] = tuple(POLICIES),
-    include_cuda_headline: bool = True,
-) -> Dict[str, Dict[str, float]]:
-    return Fig15().sweep(scale, pair_labels, policies, include_cuda_headline)
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("fig15", scale=scale)

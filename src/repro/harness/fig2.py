@@ -12,8 +12,6 @@ more uniform utilization, fewer idle gaps and zero context switches.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.sim.rng import RandomStream
@@ -22,7 +20,6 @@ from repro.apps import app_by_short
 from repro.harness import registry
 from repro.harness.runner import (
     ExperimentScale,
-    SCALE_PAPER,
     run_stream_experiment,
     system_factories,
 )
@@ -68,21 +65,17 @@ def _drive(system_label: str, scale: ExperimentScale):
     }
 
 
-def run(scale: ExperimentScale = SCALE_PAPER) -> Dict[str, Dict]:
-    """Both timelines: ``sequential`` (CUDA contexts) vs ``concurrent``
-    (Strings streams in one packed context)."""
-    return {
-        "sequential": _drive("sequential", scale),
-        "concurrent": _drive("concurrent", scale),
-    }
-
-
 @registry.register("fig2")
 class Fig2(registry.Experiment):
     """Fig. 2 — GPU utilization timelines: sequential contexts vs packed streams."""
 
     def run(self, ctx: registry.ExperimentContext):
-        return run(ctx.scale)
+        """Both timelines: ``sequential`` (CUDA contexts) vs ``concurrent``
+        (Strings streams in one packed context)."""
+        return {
+            "sequential": _drive("sequential", ctx.scale),
+            "concurrent": _drive("concurrent", ctx.scale),
+        }
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         lines = ["Fig. 2 — Monte-Carlo request streams: GPU utilization over time"]
@@ -107,7 +100,3 @@ class Fig2(registry.Experiment):
                 )
             )
         return "\n".join(lines)
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("fig2", scale=scale)

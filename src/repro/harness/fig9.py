@@ -23,12 +23,7 @@ from repro.metrics import mean_completion_s
 from repro.workloads import exponential_stream
 from repro.harness import registry
 from repro.harness.format import format_table
-from repro.harness.runner import (
-    ExperimentScale,
-    SCALE_PAPER,
-    run_stream_experiment,
-    system_factories,
-)
+from repro.harness.runner import run_stream_experiment, system_factories
 
 POLICIES = [
     "GRR-Rain",
@@ -49,42 +44,6 @@ PAPER_AVERAGES = {
 }
 
 
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    apps=None,
-    policies=None,
-) -> Dict[str, Dict[str, float]]:
-    """speedup[policy][app_short] plus speedup[policy]['avg'].
-
-    ``apps``/``policies`` restrict the sweep (None = the full figure).
-    """
-    apps = list(ALL_APPS) if apps is None else [a for a in ALL_APPS if a.short in apps]
-    policies = list(POLICIES) if policies is None else list(policies)
-    factories = system_factories()
-    speedups: Dict[str, Dict[str, float]] = {p: {} for p in policies}
-
-    for app in apps:
-        stream_rng = RandomStream(scale.seed, "fig9", app.short)
-        stream = exponential_stream(
-            app, stream_rng, scale.requests_per_stream, scale.load_factor
-        )
-        base = run_stream_experiment(
-            factories["CUDA"], [stream], build_small_server, label="CUDA"
-        )
-        base_mean = mean_completion_s(base.results)
-        for policy in policies:
-            res = run_stream_experiment(
-                factories[policy], [stream], build_small_server, label=policy
-            )
-            speedups[policy][app.short] = base_mean / mean_completion_s(res.results)
-
-    for policy in policies:
-        speedups[policy]["avg"] = float(
-            np.mean([speedups[policy][a.short] for a in apps])
-        )
-    return speedups
-
-
 @registry.register("fig9")
 class Fig9(registry.Experiment):
     """Fig. 9 — per-app speedup of each balancing policy over the CUDA runtime."""
@@ -94,12 +53,38 @@ class Fig9(registry.Experiment):
         "policies": 'policy subset, e.g. ["GMin-Strings"]',
     }
 
+    def prepare(self, ctx: registry.ExperimentContext) -> None:
+        shorts = [app.short for app in ALL_APPS]
+        self.apps = ctx.parsed_option("apps", registry.some_of(shorts), shorts)
+        self.policies = ctx.parsed_option("policies", registry.some_of(POLICIES), POLICIES)
+
     def run(self, ctx: registry.ExperimentContext):
-        return run(
-            ctx.scale,
-            apps=ctx.option("apps"),
-            policies=ctx.option("policies"),
-        )
+        """speedup[policy][app_short] plus speedup[policy]['avg']."""
+        scale = ctx.scale
+        apps = [a for a in ALL_APPS if a.short in self.apps]
+        factories = system_factories()
+        speedups: Dict[str, Dict[str, float]] = {p: {} for p in self.policies}
+
+        for app in apps:
+            stream_rng = RandomStream(scale.seed, "fig9", app.short)
+            stream = exponential_stream(
+                app, stream_rng, scale.requests_per_stream, scale.load_factor
+            )
+            base = run_stream_experiment(
+                factories["CUDA"], [stream], build_small_server, label="CUDA"
+            )
+            base_mean = mean_completion_s(base.results)
+            for policy in self.policies:
+                res = run_stream_experiment(
+                    factories[policy], [stream], build_small_server, label=policy
+                )
+                speedups[policy][app.short] = base_mean / mean_completion_s(res.results)
+
+        for policy in self.policies:
+            speedups[policy]["avg"] = float(
+                np.mean([speedups[policy][a.short] for a in apps])
+            )
+        return speedups
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         policies = [p for p in POLICIES if p in data]
@@ -120,7 +105,3 @@ class Fig9(registry.Experiment):
             title="Fig. 9 — relative speedup over the CUDA runtime "
                   "(single node, 2 GPUs, per-app request streams)",
         )
-
-
-def main(scale: ExperimentScale = SCALE_PAPER) -> str:
-    return registry.run_main("fig9", scale=scale)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -113,10 +113,12 @@ class PairFigure(registry.Experiment):
     """A paired-workload supernode figure, declared rather than written.
 
     A subclass gives its ``policies``, ``paper_averages``, baseline rule
-    (``shared_baseline``), ``prewarm`` flag and report ``title``.  ``run``
-    is one :func:`pair_speedup_sweep` tagged with the registry name (the
-    seed tag of the pair streams), and ``analyze`` renders the per-pair
-    speedup table with its AVG and AVG(paper) columns.
+    (``shared_baseline``), ``prewarm`` flag and report ``title``.
+    ``prepare`` checks ``-O pairs``/``-O policies`` against ``PAIRS`` and
+    the class's ``policies``; ``run`` is one :func:`pair_speedup_sweep`
+    over them, tagged with the registry name (the seed tag of the pair
+    streams), and ``analyze`` renders the per-pair speedup table with its
+    AVG and AVG(paper) columns.
     """
 
     options = {
@@ -132,29 +134,25 @@ class PairFigure(registry.Experiment):
     #: Seed the SFT of the policy systems (the feedback figures).
     prewarm = False
     title = ""
+    #: Systems measured beside the policies, reported only as absolute
+    #: means under ``_means`` (Fig. 15's CUDA headline).
+    extra_systems: Sequence[str] = ()
 
-    def sweep(
-        self,
-        scale: ExperimentScale,
-        pair_labels: Sequence[str] = tuple(PAIRS),
-        policies: Optional[Sequence[str]] = None,
-        extra_systems: Sequence[str] = (),
-    ) -> Dict[str, Dict[str, float]]:
-        return pair_speedup_sweep(
-            self.policies if policies is None else policies,
-            scale,
-            tag=self.name,
-            baseline_split_nodes=self.shared_baseline,
-            pair_labels=pair_labels,
-            prewarm=self.prewarm,
-            extra_systems=extra_systems,
+    def prepare(self, ctx: registry.ExperimentContext) -> None:
+        self.pairs = ctx.parsed_option("pairs", registry.some_of(PAIRS), tuple(PAIRS))
+        self.subset = ctx.parsed_option(
+            "policies", registry.some_of(self.policies), tuple(self.policies)
         )
 
     def run(self, ctx: registry.ExperimentContext):
-        return self.sweep(
+        return pair_speedup_sweep(
+            self.subset,
             ctx.scale,
-            pair_labels=tuple(ctx.option("pairs", tuple(PAIRS))),
-            policies=tuple(ctx.option("policies", tuple(self.policies))),
+            tag=self.name,
+            baseline_split_nodes=self.shared_baseline,
+            pair_labels=self.pairs,
+            prewarm=self.prewarm,
+            extra_systems=self.extra_systems,
         )
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
@@ -169,62 +167,4 @@ class PairFigure(registry.Experiment):
         )
 
 
-@registry.register("pairsweep")
-class PairSweep(registry.GridExperiment):
-    """Declared policy x pair grid: supernode speedup vs single-node GRR.
-
-    The generic grid executor walks every (policy, pair) point through
-    :meth:`run_point`; family baselines (single-node GRR, the Fig. 10
-    convention) are simulated once per (family, pair) and memoized for
-    the rest of the sweep.  Override the axes from the CLI with
-    ``-O policies='[...]'`` / ``-O pairs='[...]'`` — no new plumbing.
-    """
-
-    options = {
-        "policies": 'policy axis, e.g. ["GMin-Strings"]',
-        "pairs": 'pair axis, e.g. ["A","G"]',
-    }
-
-    grid = registry.ParamGrid.of(
-        policy=("GMin-Strings", "GMin-Rain"), pair=tuple(PAIRS)
-    )
-
-    def grid_for(self, ctx: registry.ExperimentContext) -> registry.ParamGrid:
-        return registry.ParamGrid.of(
-            policy=tuple(ctx.option("policies", ("GMin-Strings", "GMin-Rain"))),
-            pair=tuple(ctx.option("pairs", tuple(PAIRS))),
-        )
-
-    def prepare(self, ctx: registry.ExperimentContext) -> None:
-        self._factories = system_factories()
-        self._base_means: Dict[tuple, float] = {}
-
-    def _baseline_mean(self, policy: str, pair: str, scale: ExperimentScale) -> float:
-        base_label = f"GRR-{family_of(policy)}"
-        key = (base_label, pair)
-        if key not in self._base_means:
-            base = run_stream_experiment(
-                self._factories[base_label],
-                pair_streams(pair, scale, split_nodes=False, tag="pairsweep"),
-                build_small_server,
-                label=f"{base_label}-baseline",
-            )
-            self._base_means[key] = mean_completion_s(base.results)
-        return self._base_means[key]
-
-    def run_point(self, params, ctx: registry.ExperimentContext):
-        policy, pair = str(params["policy"]), str(params["pair"])
-        res = run_stream_experiment(
-            self._factories[policy],
-            pair_streams(pair, ctx.scale, split_nodes=True, tag="pairsweep"),
-            build_paper_supernode,
-            label=policy,
-        )
-        mean = mean_completion_s(res.results)
-        return {
-            "speedup": self._baseline_mean(policy, pair, ctx.scale) / mean,
-            "mean_completion_s": mean,
-        }
-
-
-__all__ = ["PairFigure", "PairSweep", "family_of", "pair_speedup_sweep", "pair_streams"]
+__all__ = ["PairFigure", "family_of", "pair_speedup_sweep", "pair_streams"]

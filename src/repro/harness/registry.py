@@ -6,7 +6,7 @@ experiment into three phases (the artiq ``prepare``/``run``/``analyze``
 shape, DESIGN.md §16):
 
 ``prepare(ctx)``
-    Pre-compute configuration (parse specs, resolve grids, build request
+    Pre-compute configuration (parse the ``-O`` options, build request
     streams).  Must not simulate.
 ``run(ctx)``
     Execute the simulation(s) and return a **JSON-serializable** results
@@ -21,18 +21,16 @@ shape, DESIGN.md §16):
 
 Each class declares the ``-O KEY=VALUE`` options it reads
 (``Experiment.options``); :func:`prepare` rejects any other key and the
-class's ``prepare`` validates the values, both before anything
-simulates.
-
-Sweeps are declared, not hand-rolled: :class:`GridExperiment` takes a
-:class:`ParamGrid` over named axes and executes it point-by-point
-through one ``run_point`` hook.
+class's ``prepare`` parses the values once, both before anything
+simulates; ``run`` reads what ``prepare`` parsed.  :func:`execute`
+(:func:`prepare` then :func:`run_prepared`, the two steps the CLI takes)
+is the one way to run an experiment; the tests and benchmarks call it.
 
 :func:`observe` is the one observability wiring: it builds a run's
 registry, sampler, SLO monitor, shard store, console and profiler from
 :class:`ObsSpec` and writes the ``--emit`` artifacts on exit.  The CLI
-enters it once per run, and a sweep may enter it once per grid point
-(the ``scale`` knee-sweep does), so points never share a registry.
+enters it once per run, and a sweep may enter it once per point (the
+``scale`` knee-sweep does), so points never share a registry.
 
 Run artifacts (``save_run``/:func:`analyze_from`) live in a run
 directory::
@@ -40,7 +38,7 @@ directory::
     <run-dir>/experiment.json   # name, scale knobs, options, artifacts (format 1)
     <run-dir>/results.json      # the round-tripped ``run`` document
     <run-dir>/<artifact>        # each --emit kind under its ARTIFACTS name
-    <run-dir>/point-<label>/    # one grid point's artifacts, same names
+    <run-dir>/point-<label>/    # one sweep point's artifacts, same names
 
 ``analyze_from`` re-instantiates the registered class and re-renders
 without constructing a single :class:`~repro.sim.Environment` — the DES
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 import difflib
 import importlib
-import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -73,8 +70,7 @@ RUN_FORMAT = 1
 #: keep the registry ranked *below* the experiment modules it serves.
 DISCOVER_MODULES = (
     "table1", "fig1", "fig2", "fig9", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15", "ablations", "chaos", "pairsweep",
-    "scale", "scaleout",
+    "fig13", "fig14", "fig15", "ablations", "chaos", "scale", "scaleout",
 )
 
 
@@ -110,7 +106,7 @@ class OptionError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Context & parameter grids
+# Context & option parsers
 # --------------------------------------------------------------------------
 
 
@@ -195,21 +191,42 @@ def one_of(choices: Sequence[str]) -> Callable[[object], str]:
     return parse
 
 
+def some_of(choices: Sequence[str]) -> Callable[[object], Tuple[str, ...]]:
+    """A parser admitting a non-empty list of ``choices``; a bare string
+    names one choice."""
+
+    def parse(value) -> Tuple[str, ...]:
+        values = [value] if isinstance(value, str) else value
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"got {value!r}; expects a list of {', '.join(choices)}")
+        for item in values:
+            if not isinstance(item, str) or item not in choices:
+                raise ValueError(f"got {item!r}; choose from {', '.join(choices)}")
+        return tuple(values)
+
+    return parse
+
+
+def boolean(value) -> bool:
+    """A parser admitting JSON ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"got {value!r}; expects true or false")
+    return value
+
+
 @dataclass
 class ExperimentContext:
-    """Everything a phase may read: size knobs, options, injected registries.
+    """Everything a phase may read: size knobs, options, output paths.
 
     ``options`` carries the ``-O`` knobs the experiment class declares
-    (``system``, ``traffic``, ``policies``, ...); experiments read them
-    with :meth:`option`.  ``telemetry`` overrides the installed
-    process-wide registry (perf-gate style injection); ``None`` keeps the
-    :func:`repro.obs.current` default.  ``artifacts`` collects the paths
+    (``system``, ``traffic``, ``policies``, ...); ``prepare`` parses
+    them with :meth:`parsed_option`.  ``artifacts`` collects the paths
     (relative to ``out_dir``) the run writes, for ``experiment.json``.
+    A run records into the installed registry (:func:`repro.obs.current`).
     """
 
     scale: ExperimentScale = SCALE_PAPER
     options: Dict[str, object] = field(default_factory=dict)
-    telemetry: object = None
     out_dir: Optional[str] = None
     obs: ObsSpec = field(default_factory=ObsSpec)
     artifacts: List[str] = field(default_factory=list)
@@ -233,41 +250,6 @@ class ExperimentContext:
         return path
 
 
-@dataclass(frozen=True)
-class ParamGrid:
-    """A declarative parameter grid: named axes, cartesian points.
-
-    Axes keep their declaration order; :meth:`points` walks the product
-    with the last axis fastest (``itertools.product`` order), so sweeps
-    are reproducible row-by-row.
-    """
-
-    axes: Tuple[Tuple[str, Tuple[object, ...]], ...]
-
-    @classmethod
-    def of(cls, **axes: Sequence[object]) -> "ParamGrid":
-        return cls(tuple((name, tuple(values)) for name, values in axes.items()))
-
-    @property
-    def axis_names(self) -> List[str]:
-        return [name for name, _ in self.axes]
-
-    def __len__(self) -> int:
-        n = 1
-        for _, values in self.axes:
-            n *= len(values)
-        return n
-
-    def points(self) -> Iterator[Dict[str, object]]:
-        names = self.axis_names
-        for combo in itertools.product(*(values for _, values in self.axes)):
-            yield dict(zip(names, combo))
-
-    def describe(self) -> str:
-        """``policy[3]xpair[24]`` — the axes at a glance."""
-        return "x".join(f"{name}[{len(values)}]" for name, values in self.axes)
-
-
 # --------------------------------------------------------------------------
 # The Experiment protocol
 # --------------------------------------------------------------------------
@@ -284,14 +266,12 @@ class Experiment:
 
     #: CLI-stable registry name, set by :func:`register`.
     name: str = ""
-    #: Declared sweep axes (display + GridExperiment default), or None.
-    grid: Optional[ParamGrid] = None
     #: Declared ``-O`` options: key -> one-line help.  :func:`prepare`
     #: rejects every other key.
     options: Dict[str, str] = {}
 
     def prepare(self, ctx: ExperimentContext) -> None:
-        """Pre-compute configuration.  Must not simulate."""
+        """Parse the options and pre-compute configuration.  Must not simulate."""
 
     def run(self, ctx: ExperimentContext):
         """Simulate and return a JSON-serializable results document."""
@@ -331,64 +311,6 @@ class Experiment:
                 )
 
 
-class GridExperiment(Experiment):
-    """An experiment whose ``run`` phase is a declared parameter sweep.
-
-    Subclasses declare ``grid`` (or override :meth:`grid_for` to derive
-    it from ``ctx.options``) and implement :meth:`run_point`; the shared
-    ``run`` executes the grid point-by-point and returns::
-
-        {"grid": {axis: [values...]}, "points": [{"params": {...}, "result": ...}]}
-
-    The default ``analyze`` renders one table row per point (axis
-    columns plus every scalar key of the point results).
-    """
-
-    def grid_for(self, ctx: ExperimentContext) -> ParamGrid:
-        if self.grid is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} declares no grid; set ``grid`` or "
-                "override grid_for()"
-            )
-        return self.grid
-
-    def run_point(self, params: Dict[str, object], ctx: ExperimentContext):
-        raise NotImplementedError
-
-    def run(self, ctx: ExperimentContext):
-        grid = self.grid_for(ctx)
-        points = []
-        for params in grid.points():
-            points.append({"params": dict(params), "result": self.run_point(params, ctx)})
-        return {
-            "grid": {name: list(values) for name, values in grid.axes},
-            "points": points,
-        }
-
-    def analyze(self, results, ctx: ExperimentContext) -> str:
-        axis_names = list(results["grid"])
-        value_keys: List[str] = []
-        for point in results["points"]:
-            result = point["result"]
-            if isinstance(result, dict):
-                for key in result:
-                    if key not in value_keys:
-                        value_keys.append(key)
-        headers = axis_names + (value_keys or ["result"])
-        rows = []
-        for point in results["points"]:
-            row = [point["params"][a] for a in axis_names]
-            result = point["result"]
-            if isinstance(result, dict):
-                row += [result.get(k, "") for k in value_keys]
-            else:
-                row.append(result)
-            rows.append(row)
-        return format_table(
-            headers, rows, title=f"{self.name} — declared grid sweep"
-        )
-
-
 @dataclass
 class Observed:
     """The registry :func:`observe` installed, and the run's diff verdict."""
@@ -419,7 +341,7 @@ def observe(
     under its :data:`ARTIFACTS` name and prints the run digests.  With no
     observing flag the installed (null) registry is left alone.
 
-    ``point`` marks one grid point of a sweep: it always gets a fresh
+    ``point`` marks one point of a sweep: it always gets a fresh
     registry with a sampler (points must not contaminate each other, and
     the open-loop runner keeps its latency histogram there) and writes
     under ``point-<point>/``, the same layout as a run directory.
@@ -450,16 +372,7 @@ def observe(
     if "shards" in paths:
         # Spans shard to disk instead of staying in memory; nothing the
         # run reports depends on where they live.
-        store = obs.attach_store(
-            tel,
-            paths["shards"],
-            buffer_limit=spec.span_buffer,
-            violation=(
-                obs.slo_violation_predicate(tel.slo.targets)
-                if tel.slo is not None
-                else None
-            ),
-        )
+        store = obs.attach_store(tel, paths["shards"], buffer_limit=spec.span_buffer)
     console = None
     if live is not None:
         console = tel.console = obs.LiveConsole(
@@ -584,15 +497,14 @@ def get(name: str) -> type:
 
 
 def format_listing() -> str:
-    """The ``harness list`` table: name, phases, grid, -O options, description."""
+    """The ``harness list`` table: name, phases, -O options, description."""
     registry = discover()
-    rows = []
-    for name, cls in registry.items():
-        grid = cls.grid.describe() if cls.grid is not None else "-"
-        options = ",".join(cls.options) or "-"
-        rows.append([name, cls.phases(), grid, options, cls.describe()])
+    rows = [
+        [name, cls.phases(), ",".join(cls.options) or "-", cls.describe()]
+        for name, cls in registry.items()
+    ]
     return format_table(
-        ["Experiment", "Phases", "Grid", "Options", "Description"],
+        ["Experiment", "Phases", "Options", "Description"],
         rows,
         title=f"registered experiments ({len(registry)})",
     )
@@ -666,24 +578,6 @@ def execute(name: str, ctx: Optional[ExperimentContext] = None):
         ctx = ExperimentContext()
     exp = prepare(name, ctx)
     return exp, run_prepared(exp, ctx)
-
-
-def run_main(
-    name: str, scale: Optional[ExperimentScale] = None, **options
-) -> str:
-    """What every module's ``main()`` delegates to.
-
-    Prepares, runs, renders the analysis and prints it.  Returns the
-    report text (the historical ``main()`` contract).
-    """
-    ctx = ExperimentContext(
-        scale=scale if scale is not None else SCALE_PAPER,
-        options={k: v for k, v in options.items() if v is not None},
-    )
-    exp, results = execute(name, ctx)
-    text = exp.analyze(results, ctx)
-    print(text)
-    return text
 
 
 def _write_json(path: str, doc, sort_keys: bool = False) -> None:
@@ -769,14 +663,13 @@ __all__ = [
     "DISCOVER_MODULES",
     "Experiment",
     "ExperimentContext",
-    "GridExperiment",
     "ObsSpec",
     "Observed",
     "OptionError",
-    "ParamGrid",
     "RUN_FORMAT",
     "UnknownExperiment",
     "analyze_from",
+    "boolean",
     "discover",
     "execute",
     "format_listing",
@@ -791,8 +684,8 @@ __all__ = [
     "register",
     "report_tolerances",
     "roundtrip",
-    "run_main",
     "run_prepared",
     "save_run",
+    "some_of",
     "to_jsonable",
 ]

@@ -292,8 +292,6 @@ code {{ background: #f4f4f4; padding: 1px 4px; }}
 class Scale(registry.Experiment):
     """Scale — load-to-the-knee sweep of generated traffic (goodput knee)."""
 
-    #: The declared sweep axis (actual loads come from ``-O loads``).
-    grid = registry.ParamGrid.of(load=DEFAULT_LOADS)
     options = {
         "traffic": "traffic spec (repro.traffic grammar)",
         "loads": "load multipliers, e.g. [0.5,1,2]",

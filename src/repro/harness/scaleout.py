@@ -26,11 +26,7 @@ from repro.workloads import exponential_stream
 from repro.apps import app_by_short
 from repro.harness import registry
 from repro.harness.format import format_table
-from repro.harness.runner import (
-    ExperimentScale,
-    SCALE_PAPER,
-    run_stream_experiment,
-)
+from repro.harness.runner import run_stream_experiment
 
 #: Mixed aggregate workload: a long compute app, a bandwidth hog and a
 #: short transfer-heavy app, all arriving at node 0.
@@ -57,44 +53,6 @@ def build_n_node_cluster(n: int):
     return build
 
 
-def run(
-    scale: ExperimentScale = SCALE_PAPER,
-    max_nodes: int = 4,
-    system: str = "strings",
-) -> Dict[int, Dict[str, float]]:
-    """mean completion time and speedup vs the 1-node deployment."""
-    system_cls = SYSTEMS[system]
-    out: Dict[int, Dict[str, float]] = {}
-    base_mean = None
-    for n in range(1, max_nodes + 1):
-        def factory(env, nodes, net):
-            return system_cls(env, nodes, net, balancing=GMin())
-
-        rng = RandomStream(scale.seed, "scaleout")
-        streams = [
-            exponential_stream(
-                app_by_short(short),
-                rng.spawn(short),
-                scale.requests_per_stream,
-                scale.pair_load_factor,
-                node_index=0,
-            )
-            for short in WORKLOAD
-        ]
-        res = run_stream_experiment(
-            factory, streams, build_n_node_cluster(n), label=f"{n}-node"
-        )
-        mean = mean_completion_s(res.results)
-        if base_mean is None:
-            base_mean = mean
-        out[n] = {
-            "gpus": 2 * n,
-            "mean_completion_s": mean,
-            "speedup_vs_1node": base_mean / mean,
-        }
-    return out
-
-
 @registry.register("scaleout")
 class Scaleout(registry.Experiment):
     """Scale-out — completion time and speedup over growing gPool sizes."""
@@ -105,15 +63,43 @@ class Scaleout(registry.Experiment):
     }
 
     def prepare(self, ctx: registry.ExperimentContext) -> None:
-        ctx.parsed_option("system", registry.one_of(SYSTEMS), "strings")
-        ctx.parsed_option("max_nodes", int, 4)
+        self.system = ctx.parsed_option("system", registry.one_of(SYSTEMS), "strings")
+        self.max_nodes = ctx.parsed_option("max_nodes", int, 4)
 
     def run(self, ctx: registry.ExperimentContext):
-        return run(
-            ctx.scale,
-            max_nodes=int(ctx.option("max_nodes", 4)),
-            system=str(ctx.option("system", "strings")),
-        )
+        """Mean completion time and speedup vs the 1-node deployment, per
+        gPool size in nodes."""
+        scale = ctx.scale
+        system_cls = SYSTEMS[self.system]
+        out: Dict[int, Dict[str, float]] = {}
+        base_mean = None
+        for n in range(1, self.max_nodes + 1):
+            def factory(env, nodes, net):
+                return system_cls(env, nodes, net, balancing=GMin())
+
+            rng = RandomStream(scale.seed, "scaleout")
+            streams = [
+                exponential_stream(
+                    app_by_short(short),
+                    rng.spawn(short),
+                    scale.requests_per_stream,
+                    scale.pair_load_factor,
+                    node_index=0,
+                )
+                for short in WORKLOAD
+            ]
+            res = run_stream_experiment(
+                factory, streams, build_n_node_cluster(n), label=f"{n}-node"
+            )
+            mean = mean_completion_s(res.results)
+            if base_mean is None:
+                base_mean = mean
+            out[n] = {
+                "gpus": 2 * n,
+                "mean_completion_s": mean,
+                "speedup_vs_1node": base_mean / mean,
+            }
+        return out
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         system = str(ctx.option("system", "strings"))
@@ -128,7 +114,3 @@ class Scaleout(registry.Experiment):
             title=f"Scale-out extension — GMin-{name} over growing gPools "
                   "(fixed aggregate workload arriving at node 0)",
         )
-
-
-def main(scale: ExperimentScale = SCALE_PAPER, system: str = "strings") -> str:
-    return registry.run_main("scaleout", scale=scale, system=system)

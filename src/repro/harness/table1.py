@@ -54,17 +54,13 @@ def profile_app(app) -> Dict[str, float]:
     }
 
 
-def run(scale=None) -> Dict[str, Dict[str, float]]:
-    """Profile every app; returns short-code -> measured columns."""
-    return {app.short: profile_app(app) for app in ALL_APPS}
-
-
 @registry.register("table1")
 class Table1(registry.Experiment):
     """Table I — solo app profiles under the bare CUDA runtime vs the paper."""
 
     def run(self, ctx: registry.ExperimentContext):
-        return run()
+        """Profile every app; returns short-code -> measured columns."""
+        return {app.short: profile_app(app) for app in ALL_APPS}
 
     def analyze(self, measured, ctx: registry.ExperimentContext) -> str:
         rows: List[list] = []
@@ -92,7 +88,3 @@ class Table1(registry.Experiment):
             title="Table I — benchmark application characteristics "
                   f"(measured solo on {REFERENCE_SPEC.name}; bandwidth rescaled, ranking preserved)",
         )
-
-
-def main() -> str:
-    return registry.run_main("table1")

@@ -22,9 +22,9 @@ whole stack:
   accounting), run diffing between exported metrics documents, and the
   tolerance-spec grammar shared with ``benchmarks/perf_gate.py``;
 * :mod:`repro.obs.stream` — streaming mode (ISSUE 6): the bounded-memory
-  span shard store (JSONL shards + watermark batches + head/tail
-  retention), whose batches the critical-path profiler reads in one
-  pass, and the offline profile of a shard directory;
+  span shard store (JSONL shards + watermark batches), whose batches the
+  critical-path profiler reads in one pass, and the offline profile of a
+  shard directory;
 * :mod:`repro.obs.console` — the live run console and heartbeat JSONL
   stream driven by the sampler tick (ISSUE 6);
 * wall-clock self-profiling — the off-thread stack sampler
@@ -59,7 +59,6 @@ from repro.obs.stream import (
     attach_store,
     iter_disk_batches,
     profile_shard_dir,
-    slo_violation_predicate,
 )
 from repro.telemetry.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.obs.export import (
@@ -168,7 +167,6 @@ __all__ = [
     "render_diff",
     "reset",
     "series_csv",
-    "slo_violation_predicate",
     "summary_table",
     "top_slowest",
     "to_chrome_trace",

@@ -495,8 +495,7 @@ def summary_table(telemetry: Telemetry) -> str:
         st = stream.stats()
         lines.append(
             f"span stream: {st['spans_flushed']}/{st['spans_total']} spans "
-            f"flushed to {st['shards']} shard(s) in {st['directory']} "
-            f"({st['retained_groups']} groups retained in memory)"
+            f"flushed to {st['shards']} shard(s) in {st['directory']}"
         )
     profiler = getattr(telemetry, "profiler", None)
     if profiler is not None and profiler.sample_count:

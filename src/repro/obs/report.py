@@ -584,8 +584,7 @@ def html_report(
         st = stream.stats()
         footer.append(
             f"Span stream: {st['spans_flushed']}/{st['spans_total']} spans "
-            f"flushed to {st['shards']} shard(s) in {_esc(st['directory'])}; "
-            f"{st['retained_groups']} request groups retained in memory."
+            f"flushed to {st['shards']} shard(s) in {_esc(st['directory'])}."
         )
     if footer:
         parts.append('<p class="note">' + "<br>".join(footer) + "</p>")

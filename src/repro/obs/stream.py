@@ -8,12 +8,10 @@ pipeline**:
 
 * :class:`SpanShardStore` plugs in behind ``Telemetry`` (the harness
   points ``tel.spans`` / ``tel._append_span`` at it) and keeps only a
-  bounded working set in memory: a small append buffer, the spans of
-  *in-flight* requests, and a head/tail **retention set** — SLO
-  violators, the slowest-K requests per phase, and a seeded reservoir
-  sample.  Everything else is flushed to rotating JSONL **shard files**
-  in batches (fsync-free buffered writes), triggered by the sampler's
-  sim-time tick and by buffer overflow.
+  bounded working set in memory: a small append buffer and the spans of
+  *in-flight* requests.  Every finished request is flushed to rotating
+  JSONL **shard files** in batches (fsync-free buffered writes),
+  triggered by the sampler's sim-time tick and by buffer overflow.
 * Each batch ends with a *watermark* record carrying the smallest
   request-root span id still held in memory.  Because span ids are
   assigned by a monotone counter, append order == id order, and the
@@ -43,19 +41,14 @@ the in-flight window in memory.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import os
-import random
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.analysis import RunProfile, _profile_batches
 from repro.telemetry.instruments import Span
-from repro.obs.spans import CAT_REQUEST, REQUEST_PHASES
-
-#: Pseudo-phase key for the slowest-by-total-latency retention heap.
-_TOTAL = "total"
+from repro.obs.spans import CAT_REQUEST
 
 _SHARD_PREFIX = "spans-"
 _SHARD_SUFFIX = ".jsonl"
@@ -185,24 +178,20 @@ def iter_disk_batches(
 class _Group:
     """One request root plus its (transitive) descendants."""
 
-    __slots__ = ("root", "spans", "complete", "refs", "permanent")
+    __slots__ = ("root", "spans")
 
     def __init__(self, root: Span) -> None:
         self.root = root
         self.spans: List[Span] = []
-        self.complete = False
-        #: Retention references (heap memberships + reservoir slot).
-        self.refs = 0
-        #: SLO violators are never evicted.
-        self.permanent = False
 
 
 class SpanShardStore:
     """Bounded in-memory span buffer flushing to JSONL shards.
 
     Drop-in for the ``Telemetry.spans`` list: supports ``append``,
-    ``len()`` (total spans recorded) and iteration (the retained+flushed
-    union, shards re-read lazily).  The harness wires it up with::
+    ``len()`` (total spans recorded) and iteration (the flushed spans,
+    shards re-read lazily, then those still in memory).  The harness
+    wires it up with::
 
         store = SpanShardStore(stream_dir)
         tel.spans = store
@@ -210,9 +199,7 @@ class SpanShardStore:
         tel.stream = store       # sampler flushes it on every tick
 
     Memory held: at most ``buffer_limit`` unclassified spans, the spans
-    of in-flight (unfinished) requests, open engine-side spans, and the
-    retention set (``retain_slowest`` groups per phase + ``reservoir``
-    sampled groups + every SLO violator).
+    of in-flight (unfinished) requests and open engine-side spans.
     """
 
     def __init__(
@@ -220,10 +207,6 @@ class SpanShardStore:
         directory: str,
         buffer_limit: int = 10_000,
         shard_max_records: int = 100_000,
-        retain_slowest: int = 8,
-        reservoir: int = 32,
-        seed: int = 42,
-        violation: Optional[Callable[[Span], bool]] = None,
     ) -> None:
         if buffer_limit < 1:
             raise ValueError(f"span buffer limit must be >= 1, got {buffer_limit}")
@@ -231,16 +214,10 @@ class SpanShardStore:
             raise ValueError(
                 f"shard record limit must be >= 1, got {shard_max_records}"
             )
-        if retain_slowest < 0 or reservoir < 0:
-            raise ValueError("retention sizes must be >= 0")
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.buffer_limit = buffer_limit
         self.shard_max_records = shard_max_records
-        self.retain_slowest = retain_slowest
-        self.reservoir_size = reservoir
-        self.violation = violation
-        self._rng = random.Random(seed)
 
         self._buf: List[Span] = []
         self._groups: Dict[int, _Group] = {}
@@ -248,13 +225,6 @@ class SpanShardStore:
         #: Parentless non-request spans (engine kernels/copies, outages)
         #: plus orphan-parented spans, awaiting their finish.
         self._loose: List[Span] = []
-        #: Retention: per-phase min-heaps of (blame_seconds, root_id).
-        self._heaps: Dict[str, List[Tuple[float, int]]] = {}
-        self._reservoir: List[int] = []
-        self._completed_seen = 0
-        self._evicted: List[int] = []
-        #: Snapshot of groups retained in memory at close (inspection).
-        self.retained: Dict[int, _Group] = {}
 
         self.total_spans = 0
         self.flushed_spans = 0
@@ -286,10 +256,7 @@ class SpanShardStore:
 
         Called on every sampler tick and on buffer overflow.  Request
         groups are flushed *atomically* (root + all descendants in one
-        batch) once every span of the group has finished; the retention
-        policy may hold a completed group in memory instead, in which
-        case it is flushed later, when evicted — the watermark stays
-        conservative while it is held.
+        batch) once every span of the group has finished.
         """
         if self._closed:
             return
@@ -317,18 +284,11 @@ class SpanShardStore:
                     else:
                         self._loose.append(sp)
 
-        flush_groups: List[int] = []
-        for rid, g in self._groups.items():
-            if g.complete or not g.root.finished:
-                continue
-            if all(sp.finished for sp in g.spans):
-                g.complete = True
-                self._completed_seen += 1
-                if not self._retain(rid, g):
-                    flush_groups.append(rid)
-        if self._evicted:
-            flush_groups.extend(self._evicted)
-            self._evicted = []
+        flush_groups = [
+            rid
+            for rid, g in self._groups.items()
+            if g.root.finished and all(sp.finished for sp in g.spans)
+        ]
 
         still_open: List[Span] = []
         flush_loose: List[Span] = []
@@ -340,60 +300,13 @@ class SpanShardStore:
             self._write_batch(flush_groups, flush_loose)
 
     def close(self, now: Optional[float] = None) -> None:
-        """Final flush: stream every completed group (retained included)
-        to shards so the files are a complete record, keep the retained
-        set available in memory, and close the shard file."""
+        """Final flush, so the files are a complete record of every
+        finished request; then close the shard file."""
         if self._closed:
             return
         self.flush(now)
-        final = [rid for rid, g in self._groups.items() if g.complete]
-        self.retained = {rid: self._groups[rid] for rid in final}
-        if final:
-            self._write_batch(final, [])
         self._fh.close()
         self._closed = True
-
-    def _retain(self, rid: int, g: _Group) -> bool:
-        """Apply the head/tail retention policy to a completed group."""
-        root = g.root
-        if self.violation is not None and self.violation(root):
-            g.permanent = True
-            g.refs += 1
-
-        if self.retain_slowest > 0:
-            keys: Dict[str, float] = {_TOTAL: root.end - root.start}
-            for sp in g.spans:
-                if sp.cat in _PHASE_SET and sp.end is not None:
-                    keys[sp.cat] = keys.get(sp.cat, 0.0) + (sp.end - sp.start)
-            for cat, key in keys.items():
-                heap = self._heaps.setdefault(cat, [])
-                if len(heap) < self.retain_slowest:
-                    heapq.heappush(heap, (key, rid))
-                    g.refs += 1
-                elif key > heap[0][0]:
-                    _k, old = heapq.heapreplace(heap, (key, rid))
-                    g.refs += 1
-                    self._release(old)
-
-        if self.reservoir_size > 0:
-            if len(self._reservoir) < self.reservoir_size:
-                self._reservoir.append(rid)
-                g.refs += 1
-            else:
-                j = self._rng.randrange(self._completed_seen)
-                if j < self.reservoir_size:
-                    self._release(self._reservoir[j])
-                    self._reservoir[j] = rid
-                    g.refs += 1
-        return g.refs > 0
-
-    def _release(self, rid: int) -> None:
-        g = self._groups.get(rid)
-        if g is None:
-            return
-        g.refs -= 1
-        if g.refs <= 0 and not g.permanent:
-            self._evicted.append(rid)
 
     def _write_batch(self, group_ids: List[int], loose: List[Span]) -> None:
         spans: List[Span] = list(loose)
@@ -455,21 +368,9 @@ class SpanShardStore:
         yield leftovers, math.inf, None
 
     def __iter__(self) -> Iterator[Span]:
-        """The flushed+retained union — every span ever recorded."""
+        """Every span ever recorded: the shards, then what is in memory."""
         for spans, _w, _t in self.iter_batches():
             yield from spans
-
-    def retained_spans(self) -> List[Span]:
-        """Spans of the groups held in memory by the retention policy."""
-        out: List[Span] = []
-        groups = self.retained if self._closed else {
-            rid: g for rid, g in self._groups.items() if g.complete
-        }
-        for rid in sorted(groups):
-            g = groups[rid]
-            out.append(g.root)
-            out.extend(g.spans)
-        return out
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -478,12 +379,7 @@ class SpanShardStore:
             "spans_total": self.total_spans,
             "spans_flushed": self.flushed_spans,
             "flushes": self.flushes,
-            "retained_groups": len(self.retained) if self._closed else sum(
-                1 for g in self._groups.values() if g.complete
-            ),
-            "in_flight_groups": sum(
-                1 for g in self._groups.values() if not g.complete
-            ),
+            "in_flight_groups": len(self._groups),
             "open_loose_spans": len(self._loose),
             "buffered_spans": len(self._buf),
         }
@@ -496,10 +392,7 @@ class SpanShardStore:
 
 
 def attach_store(
-    telemetry,
-    directory: str,
-    buffer_limit: int = 10_000,
-    violation: Optional[Callable[[Span], bool]] = None,
+    telemetry, directory: str, buffer_limit: int = 10_000
 ) -> SpanShardStore:
     """Wire a registry for streaming mode; returns the new shard store.
 
@@ -508,34 +401,11 @@ def attach_store(
     sampler tick flushes the store.  Only where spans live changes;
     everything the run reports stays the same.
     """
-    store = SpanShardStore(directory, buffer_limit=buffer_limit, violation=violation)
+    store = SpanShardStore(directory, buffer_limit=buffer_limit)
     telemetry.spans = store
     telemetry._append_span = store.append
     telemetry.stream = store
     return store
-
-
-_PHASE_SET = frozenset(REQUEST_PHASES)
-
-
-def slo_violation_predicate(targets) -> Callable[[Span], bool]:
-    """Retention predicate from SLO targets: keep a request's spans in
-    memory when its completion time broke a matching latency bound."""
-    latency = [
-        (t.app, t.latency_s) for t in targets if t.latency_s is not None
-    ]
-
-    def violated(root: Span) -> bool:
-        if root.end is None:
-            return False
-        completion = root.end - root.start
-        app = (root.args or {}).get("app")
-        return any(
-            completion > bound and (tapp == "*" or tapp == app)
-            for tapp, bound in latency
-        )
-
-    return violated
 
 
 def profile_shard_dir(directory: str) -> RunProfile:
@@ -559,5 +429,4 @@ __all__ = [
     "iter_disk_batches",
     "profile_shard_dir",
     "shard_files",
-    "slo_violation_predicate",
 ]

@@ -9,13 +9,15 @@ byte-identical metrics, and merely importing (or resetting) the
 import json
 
 import repro.faults as faults
-from repro.harness import fig9
+from repro.harness import registry
 from repro.harness.runner import SCALE_QUICK
 
 
 def _fig9_json():
-    result = fig9.run(SCALE_QUICK, apps=["MC"], policies=["GRR-Rain", "GMin-Strings"])
-    return json.dumps(result, sort_keys=True)
+    ctx = registry.ExperimentContext(
+        scale=SCALE_QUICK, options={"apps": ["MC"], "policies": ["GRR-Rain", "GMin-Strings"]}
+    )
+    return json.dumps(registry.execute("fig9", ctx)[1], sort_keys=True)
 
 
 def test_fig9_byte_identical_across_runs_with_faults_loaded():

@@ -21,7 +21,9 @@ from repro.faults import (
     RetryPolicy,
     parse_fault_spec,
 )
-from repro.harness import chaos
+import repro.obs as obs
+from repro.harness import registry
+from repro.harness.__main__ import main
 from repro.harness.runner import SCALE_QUICK, run_stream_experiment, system_factories
 from repro.obs import Telemetry
 from repro.remoting.backend import BackendDaemon
@@ -295,9 +297,19 @@ def test_retry_budget_exhaustion_surfaces_devices_unavailable():
 # ---------------------------------------------------------------------------
 
 
+def _chaos(tel):
+    """The chaos experiment at quick scale, recording into ``tel``."""
+    obs.install(tel)
+    try:
+        ctx = registry.ExperimentContext(scale=SCALE_QUICK)
+        return registry.execute("chaos", ctx)[1]
+    finally:
+        obs.reset()
+
+
 def test_chaos_scenario_loses_zero_requests():
     tel = Telemetry()
-    data = chaos.run(SCALE_QUICK, telemetry=tel)
+    data = _chaos(tel)
     assert data["offered"] == 3 * SCALE_QUICK.requests_per_stream
     assert data["completed"] == data["offered"]
     assert data["lost"] == 0
@@ -305,7 +317,7 @@ def test_chaos_scenario_loses_zero_requests():
     assert data["redispatched"] > 0
     # Some tenant really felt the outage.
     assert max(data["tenant_downtime_s"].values(), default=0.0) > 0
-    assert data["gpu_downtime_s"].get(1, 0.0) > 0
+    assert data["gpu_downtime_s"].get("1", 0.0) > 0
 
     events = tel.decisions.events_of("fault")
     names = [e.name for e in events]
@@ -325,7 +337,7 @@ def test_chaos_failed_attempts_close_their_spans_and_stay_out_of_blame():
     from repro.obs import profile_requests
 
     tel = Telemetry()
-    data = chaos.run(SCALE_QUICK, telemetry=tel)
+    data = _chaos(tel)
     roots = [s for s in tel.spans if s.cat == "request"]
     failed = [s for s in roots if s.args.get("failed_attempt")]
     # One root per attempt: the completed requests plus each retry.
@@ -337,7 +349,7 @@ def test_chaos_failed_attempts_close_their_spans_and_stay_out_of_blame():
 
 
 def test_chaos_main_prints_availability(capsys):
-    chaos.main(SCALE_QUICK)
+    assert main(["chaos", "--scale", "quick"]) == 0
     out = capsys.readouterr().out
     assert "[chaos] requests lost: 0" in out
     assert "downtime" in out

@@ -1,12 +1,11 @@
 """Smoke tests: every figure runner produces sane output at tiny scale.
 
 These complement the benchmark suite (which runs the figures at CI scale
-with shape assertions) by checking the runner *APIs* quickly: subset
-parameters, result dictionary structure, positive values.
+with shape assertions) by running each registered experiment quickly:
+subset options, results document structure, positive values.
 """
 
-import pytest
-
+from repro.harness import registry
 from repro.harness.runner import SCALE_QUICK
 
 TINY = SCALE_QUICK.scaled(
@@ -15,10 +14,13 @@ TINY = SCALE_QUICK.scaled(
 )
 
 
-def test_fig9_runner_subset():
-    from repro.harness.fig9 import run
+def _run(name, **options):
+    ctx = registry.ExperimentContext(scale=TINY, options=options)
+    return registry.execute(name, ctx)[1]
 
-    data = run(TINY, apps=["GA"], policies=["GRR-Strings", "GRR-Rain"])
+
+def test_fig9_runner_subset():
+    data = _run("fig9", apps=["GA"], policies=["GRR-Strings", "GRR-Rain"])
     assert set(data) == {"GRR-Strings", "GRR-Rain"}
     for row in data.values():
         assert set(row) == {"GA", "avg"}
@@ -26,51 +28,36 @@ def test_fig9_runner_subset():
 
 
 def test_fig10_runner_subset():
-    from repro.harness.fig10 import run
-
-    data = run(TINY, pair_labels=("G",), policies=("GRR-Strings",))
+    data = _run("fig10", pairs=["G"], policies=["GRR-Strings"])
     assert data["GRR-Strings"]["G"] > 0
     assert data["GRR-Strings"]["avg"] > 0
 
 
 def test_fig11_runner_subset():
-    from repro.harness.fig11 import run
-
-    data = run(TINY, pair_labels=("G",), systems=("TFS-Strings",))
+    data = _run("fig11", pairs=["G"], systems=["TFS-Strings"])
     assert 0 < data["TFS-Strings"]["G"] <= 1.0
     assert 0 < data["TFS-Strings"]["avg"] <= 1.0
     assert data["TFS-Strings"]["max"] >= data["TFS-Strings"]["avg"]
 
 
 def test_fig12_runner_subset():
-    from repro.harness.fig12 import run
-
-    data = run(TINY, pair_labels=("G",), policies=("GWtMin+PS-Strings",))
+    data = _run("fig12", pairs=["G"], policies=["GWtMin+PS-Strings"])
     assert data["GWtMin+PS-Strings"]["G"] > 0
     assert "_means" in data
 
 
 def test_fig13_runner_subset():
-    from repro.harness.fig13 import run
-
-    data = run(TINY, pair_labels=("G",), policies=("PS-Strings",))
+    data = _run("fig13", pairs=["G"], policies=["PS-Strings"])
     assert data["PS-Strings"]["G"] > 0
 
 
 def test_fig14_runner_subset():
-    from repro.harness.fig14 import run
-
-    data = run(TINY, pair_labels=("G",), policies=("RTF-Strings",))
+    data = _run("fig14", pairs=["G"], policies=["RTF-Strings"])
     assert data["RTF-Strings"]["G"] > 0
 
 
 def test_fig15_runner_subset():
-    from repro.harness.fig15 import run
-
-    data = run(
-        TINY, pair_labels=("G",), policies=("MBF-Strings",),
-        include_cuda_headline=True,
-    )
+    data = _run("fig15", pairs=["G"], policies=["MBF-Strings"], cuda_headline=True)
     assert data["MBF-Strings"]["G"] > 0
     assert data["mbf_vs_cuda_avg"] > 0
 

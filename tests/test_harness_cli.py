@@ -6,8 +6,8 @@ import pytest
 
 import repro.faults as faults
 from repro.harness.__main__ import EXPERIMENTS, main
-from repro.harness import fig1, fig2, registry, table1
-from repro.harness.runner import SCALE_QUICK
+from repro.harness import registry
+from repro.sim.core import Environment
 
 #: A sub-second open-loop scenario for the scale sweep.
 TINY_TRAFFIC = "poisson:rate=3,tenants=20,churn=exp:10,duration=15,apps=GA"
@@ -34,14 +34,14 @@ def test_cli_runs_fig1(capsys):
 
 
 def test_table1_main_prints_all_apps(capsys):
-    table1.main()
+    assert main(["table1"]) == 0
     out = capsys.readouterr().out
     for short in ("DC", "SC", "BO", "MM", "HI", "EV", "BS", "MC", "GA", "SN"):
         assert f"({short})" in out
 
 
 def test_fig2_quick_runs_and_prints(capsys):
-    fig2.main(SCALE_QUICK)
+    assert main(["fig2", "--scale", "quick"]) == 0
     out = capsys.readouterr().out
     assert "sequential" in out
     assert "concurrent" in out
@@ -292,6 +292,41 @@ def test_cli_rejects_bad_loads(capsys):
     assert "-O system" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("fig12", "pairs", '["ZZ"]'),
+        ("fig12", "policies", '["Nope"]'),
+        ("fig11", "systems", '["TFS"]'),
+        ("chaos", "policy", "Nope"),
+        ("fig15", "policies", '["DTF-Strings","GRR-Strings"]'),
+        ("fig9", "apps", '["XX"]'),
+        ("fig9", "policies", "[]"),
+        ("fig15", "cuda_headline", "no"),
+    ],
+)
+def test_cli_rejects_bad_option_values_before_simulating(capsys, monkeypatch, name, key, value):
+    def no_sim(*args, **kwargs):
+        raise AssertionError("a rejected option must not simulate")
+
+    monkeypatch.setattr(Environment, "__init__", no_sim)
+    with pytest.raises(SystemExit) as exit_:
+        main([name, "--scale", "quick", "-O", f"{key}={value}"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"-O {key}: " in err
+    assert "Traceback" not in err
+
+
+def test_fig15_headline_needs_mbf(capsys):
+    """DTF alone runs without the CUDA headline, which compares MBF."""
+    rc = main(["fig15", "--scale", "quick", "-O", 'pairs=["G"]',
+               "-O", 'policies=["DTF-Strings"]'])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "DTF-Strings" in out and "headline" not in out
+
+
 def test_cli_scale_flags_require_scale_experiment(capsys):
     with pytest.raises(SystemExit):
         main(["fig1", "-O", "traffic=poisson:rate=5"])
@@ -404,11 +439,11 @@ def test_cli_list_prints_registry(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "registered experiments" in out
-    for name in EXPERIMENTS + ["scaleout", "ablations", "chaos", "scale", "pairsweep"]:
+    for name in EXPERIMENTS + ["scaleout", "ablations", "chaos", "scale"]:
         assert name in out
-    # Phase, grid and declared-option columns are populated.
+    assert "pairsweep" not in out
+    # Phase and declared-option columns are populated.
     assert "run/analyze" in out
-    assert "policy[" in out
     assert "traffic,loads,system" in out
 
 

@@ -1,12 +1,12 @@
 """The declarative experiment registry (repro.harness.registry).
 
-Covers discovery/listing/lookup, the ParamGrid algebra, JSON
-round-tripping, the GridExperiment protocol (a two-axis sweep as one
-registered class, no CLI plumbing), and the cached-analysis contract:
+Covers discovery/listing/lookup, one entry point per experiment, the
+option parsers, JSON round-tripping, and the cached-analysis contract:
 ``analyze_from`` re-renders a saved run byte-identically without
 touching the DES kernel.
 """
 
+import importlib
 import json
 
 import pytest
@@ -19,8 +19,7 @@ from repro.sim.core import Environment
 
 EXPECTED_NAMES = {
     "table1", "fig1", "fig2", "fig9", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15", "ablations", "chaos", "pairsweep",
-    "scale", "scaleout",
+    "fig13", "fig14", "fig15", "ablations", "chaos", "scale", "scaleout",
 }
 
 
@@ -38,16 +37,37 @@ def test_discovery_registers_every_harness_entry_point():
 
 def test_listing_shows_name_phases_grid_and_description():
     text = registry.format_listing()
+    assert f"registered experiments ({len(EXPECTED_NAMES)})" in text
     for name in EXPECTED_NAMES:
         assert name in text
-    # pairsweep implements all three phases and declares a 2-axis grid.
-    pairsweep_line = next(
-        line for line in text.splitlines() if line.startswith("pairsweep")
-    )
-    assert "prepare/run/analyze" in pairsweep_line
-    assert "policy[" in pairsweep_line and "pair[" in pairsweep_line
+    # scale implements all three phases and declares three options.
+    scale_line = next(line for line in text.splitlines() if line.startswith("scale "))
+    assert "prepare/run/analyze" in scale_line
+    assert "traffic,loads,system" in scale_line
     # Descriptions come from the class docstrings.
     assert registry.get("fig9").describe() in text
+
+
+def test_each_experiment_module_has_one_entry_point():
+    """Experiments run through the registry only: no module keeps a
+    module-level ``run`` or ``main`` beside its registered class."""
+    for module in registry.DISCOVER_MODULES:
+        mod = importlib.import_module(f"repro.harness.{module}")
+        assert not hasattr(mod, "run"), module
+        assert not hasattr(mod, "main"), module
+
+
+def test_list_and_bool_option_parsers():
+    some = registry.some_of(["A", "B"])
+    assert some("A") == ("A",)  # a bare string names one choice
+    assert some(["B", "A"]) == ("B", "A")
+    for bad in ("C", ["A", "C"], [], 3):
+        with pytest.raises(ValueError):
+            some(bad)
+    assert registry.boolean(False) is False
+    for bad in ("no", 0, None):
+        with pytest.raises(ValueError):
+            registry.boolean(bad)
 
 
 def test_unknown_name_raises_with_near_miss_suggestions():
@@ -96,26 +116,6 @@ def test_observe_keeps_null_registry_unless_asked_but_points_always_observe(tmp_
     assert all((tmp_path / rel).exists() for rel in ctx.artifacts)
 
 
-# -- ParamGrid ---------------------------------------------------------------
-
-
-def test_param_grid_points_product_order():
-    grid = registry.ParamGrid.of(a=(1, 2), b=("x", "y", "z"))
-    assert grid.axis_names == ["a", "b"]
-    assert len(grid) == 6
-    pts = list(grid.points())
-    assert pts[0] == {"a": 1, "b": "x"}
-    assert pts[1] == {"a": 1, "b": "y"}  # last axis fastest
-    assert pts[-1] == {"a": 2, "b": "z"}
-    assert grid.describe() == "a[2]xb[3]"
-
-
-def test_param_grid_single_axis():
-    grid = registry.ParamGrid.of(load=(0.5, 1.0, 2.0))
-    assert len(grid) == 3
-    assert [p["load"] for p in grid.points()] == [0.5, 1.0, 2.0]
-
-
 # -- JSON round-tripping -----------------------------------------------------
 
 
@@ -134,47 +134,6 @@ def test_to_jsonable_collapses_numpy():
     out = registry.to_jsonable({"xs": np.array([1.0, 2.0]), "n": np.int64(3)})
     assert out == {"xs": [1.0, 2.0], "n": 3}
     json.dumps(out)  # genuinely serializable
-
-
-# -- GridExperiment: a 2-axis sweep as one registered class ------------------
-
-
-def test_two_axis_grid_sweep_needs_only_one_registered_class():
-    """ISSUE acceptance demo: a new >=2-axis sweep is one GridExperiment
-    subclass — registration, execution and rendering all come from the
-    shared machinery, no new CLI plumbing."""
-    calls = []
-
-    @registry.register("_test_grid")
-    class TwoAxis(registry.GridExperiment):
-        """A two-axis test sweep."""
-
-        grid = registry.ParamGrid.of(alpha=(1, 2, 3), beta=("x", "y"))
-
-        def run_point(self, params, ctx):
-            calls.append((params["alpha"], params["beta"]))
-            return {"score": params["alpha"] * 10 + len(params["beta"])}
-
-    try:
-        exp, results = registry.execute("_test_grid")
-        assert calls == [(a, b) for a in (1, 2, 3) for b in ("x", "y")]
-        assert results["grid"] == {"alpha": [1, 2, 3], "beta": ["x", "y"]}
-        assert len(results["points"]) == len(TwoAxis.grid) == 6
-        text = exp.analyze(results, registry.ExperimentContext())
-        lines = text.splitlines()
-        assert lines[0] == "_test_grid — declared grid sweep"
-        assert lines[1].split() == ["alpha", "beta", "score"]
-        assert len(lines) == 3 + 6  # title, header, rule, one row per point
-    finally:
-        registry._REGISTRY.pop("_test_grid", None)
-
-
-def test_grid_experiment_without_grid_is_an_error():
-    class NoGrid(registry.GridExperiment):
-        pass
-
-    with pytest.raises(NotImplementedError):
-        NoGrid().run(registry.ExperimentContext())
 
 
 # -- run artifacts -----------------------------------------------------------
@@ -257,12 +216,3 @@ def test_cached_analysis_is_byte_identical_and_never_simulates(
     assert cached_text == live_text
     assert _events_processed(tel_cached) == 0
 
-
-def test_run_main_prints_and_returns_report(capsys):
-    tiny = SCALE_QUICK.scaled(requests_per_stream=2)
-    text = registry.run_main(
-        "fig9", scale=tiny, apps=["GA"], policies=["GRR-Strings"]
-    )
-    out = capsys.readouterr().out
-    assert text in out
-    assert "Fig. 9" in text and "GRR-Strings" in text

@@ -23,11 +23,9 @@ from repro.obs import (
     profile_dict,
     profile_requests,
     profile_shard_dir,
-    slo_violation_predicate,
     summary_table,
     to_prometheus,
 )
-from repro.obs.slo import SloTarget
 from repro.obs.stream import shard_files
 
 
@@ -208,10 +206,7 @@ class TestSpanShardStore:
                     assert s.parent_id < s.span_id
 
     def test_len_iter_and_shard_rotation(self, tmp_path):
-        tel, store = self._wire(
-            tmp_path, buffer_limit=7, shard_max_records=30,
-            retain_slowest=1, reservoir=2,
-        )
+        tel, store = self._wire(tmp_path, buffer_limit=7, shard_max_records=30)
         _synthetic_run(tel, n_requests=30)
         store.close()
         # 30 requests x (root + 2 children + 1 loose engine span)
@@ -222,22 +217,19 @@ class TestSpanShardStore:
         assert store.stats()["shards"] > 1
         assert store.stats()["spans_flushed"] == 120
 
-    def test_retention_keeps_slo_violators_until_close(self, tmp_path):
-        violation = slo_violation_predicate(
-            [SloTarget(app="A", latency_s=0.5)]
-        )
-        tel, store = self._wire(
-            tmp_path, buffer_limit=4, retain_slowest=0, reservoir=0,
-            violation=violation,
-        )
-        _synthetic_run(tel, n_requests=10)  # every request takes 1.0s > 0.5s
+    def test_flush_leaves_no_finished_group_in_memory(self, tmp_path):
+        # Memory is the append buffer plus the in-flight groups: once
+        # flushed, a finished request lives only in the shards, however
+        # slow it was.
+        tel, store = self._wire(tmp_path, buffer_limit=4)
+        _synthetic_run(tel, n_requests=10)
         tel.stream.flush(100.0)
-        st = store.stats()
-        assert st["retained_groups"] == 10  # all violators held in memory
+        *_on_disk, (in_memory, watermark, _t) = store.iter_batches()
+        assert in_memory == [] and watermark == math.inf
+        assert store.stats()["in_flight_groups"] == 0
+        # 10 requests x (root + 2 children + 1 loose engine span)
+        assert store.stats()["spans_flushed"] == len(store) == 40
         store.close()
-        assert store.stats()["spans_flushed"] == len(store)
-        assert len(store.retained) == 10
-        assert store.retained_spans()
 
     def test_open_spans_stay_in_memory(self, tmp_path):
         tel, store = self._wire(tmp_path, buffer_limit=2)
@@ -269,7 +261,7 @@ class TestSpanShardStore:
     def _six_request_shard(self, tmp_path):
         """One shard of 6 requests (4 s kernel, 3 s copy, 2 s overhead
         each), a batch trailer after the third; (directory, path, lines)."""
-        tel, store = self._wire(tmp_path, retain_slowest=0, reservoir=0)
+        tel, store = self._wire(tmp_path)
         tel.attach(type("E", (), {"now": 0.0})())
         for i in range(6):
             t = 10.0 * i
@@ -325,8 +317,6 @@ class TestSpanShardStore:
             SpanShardStore(str(tmp_path / "x"), buffer_limit=0)
         with pytest.raises(ValueError):
             SpanShardStore(str(tmp_path / "x"), shard_max_records=0)
-        with pytest.raises(ValueError):
-            SpanShardStore(str(tmp_path / "x"), retain_slowest=-1)
 
 
 class TestChaosExactness:
@@ -337,7 +327,7 @@ class TestChaosExactness:
     def _chaos_profile(self, streaming, tmp_path):
         import repro.faults as faults
         import repro.obs as obs
-        from repro.harness.chaos import run as chaos_run
+        from repro.harness import registry
         from repro.harness.runner import SCALE_QUICK
 
         _reset_ids()
@@ -351,7 +341,7 @@ class TestChaosExactness:
             tel.stream = store
         obs.install(tel)
         try:
-            chaos_run(scale=SCALE_QUICK, telemetry=tel)
+            registry.execute("chaos", registry.ExperimentContext(scale=SCALE_QUICK))
         finally:
             obs.reset()
             faults.reset_plan()

@@ -10,7 +10,7 @@ from repro.simgpu.trace import (
     utilization_timeline,
 )
 from repro.harness.runner import SCALE_QUICK
-from repro.harness import scaleout
+from repro.harness import registry, scaleout
 
 
 # -- BusyTracer edge cases ------------------------------------------------------
@@ -144,13 +144,16 @@ def test_concurrency_timeline_validation():
 
 
 def test_scaleout_monotone_improvement():
-    data = scaleout.run(SCALE_QUICK.scaled(requests_per_stream=5), max_nodes=2)
-    assert set(data) == {1, 2}
-    assert data[1]["gpus"] == 2
-    assert data[2]["gpus"] == 4
+    ctx = registry.ExperimentContext(
+        scale=SCALE_QUICK.scaled(requests_per_stream=5), options={"max_nodes": 2}
+    )
+    data = registry.execute("scaleout", ctx)[1]
+    assert set(data) == {"1", "2"}
+    assert data["1"]["gpus"] == 2
+    assert data["2"]["gpus"] == 4
     # More GPUs never hurt this GPU-bound aggregate workload.
-    assert data[2]["mean_completion_s"] <= data[1]["mean_completion_s"] * 1.05
-    assert data[1]["speedup_vs_1node"] == pytest.approx(1.0)
+    assert data["2"]["mean_completion_s"] <= data["1"]["mean_completion_s"] * 1.05
+    assert data["1"]["speedup_vs_1node"] == pytest.approx(1.0)
 
 
 def test_n_node_cluster_builder():

@@ -28,9 +28,9 @@ each other.  Run:  python tools/check_layering.py  (exit 1 on violation).
 
 Within ``repro.harness`` the same discipline applies one level down
 (DESIGN.md §16): ``format`` and ``runner`` are the leaves, ``registry``
-builds the experiment protocol over them, ``pairsweep`` layers its grid
-experiment over the registry, the figure/table/extension modules sit
-above that, and ``__main__`` dispatches over everything.  The registry
+builds the experiment protocol over them, ``pairsweep`` layers the
+shared pair-figure class over the registry, the figure/table/extension
+modules sit above that, and ``__main__`` dispatches over everything.  The registry
 deliberately reaches experiment modules only through
 ``importlib.import_module`` at discovery time — a *call*, not an import
 statement — so no static back-edge exists.

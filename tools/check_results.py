@@ -13,6 +13,9 @@ simulated number must leave every pin equal.
     PYTHONPATH=src python tools/check_results.py --write    # re-record
 
 Exit 1 if an experiment fails to run, has no pin, or differs from it.
+Run with no names, it also fails on a pin that names no registered
+experiment (a removed experiment's pin would otherwise linger
+unchecked); ``--write`` deletes such a pin.
 """
 
 from __future__ import annotations
@@ -58,6 +61,18 @@ def experiment_names():
     from repro.harness import registry
 
     return registry.names()
+
+
+def orphan_pins(names):
+    """Pins under ``PIN_DIR`` whose experiment is not in ``names``."""
+    try:
+        files = sorted(os.listdir(PIN_DIR))
+    except FileNotFoundError:
+        return []
+    return [
+        name for name in (f[: -len(".json")] for f in files if f.endswith(".json"))
+        if name not in names
+    ]
 
 
 def run_experiment(name: str) -> dict:
@@ -112,6 +127,13 @@ def main(argv=None) -> int:
     if args.write:
         os.makedirs(PIN_DIR, exist_ok=True)
     failed = []
+    for name in [] if args.names else orphan_pins(names):
+        if args.write:
+            os.remove(os.path.join(PIN_DIR, f"{name}.json"))
+            print(f"{name}: deleted (no such experiment)")
+        else:
+            print(f"{name}: FAIL pin without a registered experiment")
+            failed.append(name)
     for name in names:
         pin_path = os.path.join(PIN_DIR, f"{name}.json")
         try:
@@ -140,7 +162,7 @@ def main(argv=None) -> int:
             print(f"    {line}")
         failed.append(name)
     if failed:
-        print(f"{len(failed)} of {len(names)} experiment(s) failed: {', '.join(failed)}")
+        print(f"{len(failed)} check(s) failed: {', '.join(failed)}")
         if not args.write:
             print("If the change is intentional, re-record with: "
                   "PYTHONPATH=src python tools/check_results.py --write")
