@@ -4,7 +4,10 @@ Public surface:
 
 * :class:`~repro.core.systems.StringsSystem` / ``Design2System`` /
   ``RainSystem`` / ``CudaRuntimeSystem`` — the runtime stacks under
-  evaluation;
+  evaluation, one class per backend design;
+* :class:`~repro.core.sessions.ManagedSession` — the one scheduled
+  session, wired by the system that owns it (``DirectSession`` is the
+  bare runtime's);
 * :mod:`repro.core.policies` — every scheduling policy of Section IV;
 * :class:`~repro.core.gpool.GPool` — gPool/gMap/DST aggregation;
 * :class:`~repro.core.affinity.GpuAffinityMapper` — the workload balancer;
@@ -24,13 +27,7 @@ from repro.core.gpool import DeviceStatus, DeviceStatusTable, GMap, GMapEntry, G
 from repro.core.gpu_scheduler import GpuScheduler
 from repro.core.packer import ContextPacker, PackedApp, PinnedMemoryTable
 from repro.core.rcb import GpuPhase, RcbEntry, RequestControlBlock
-from repro.core.sessions import (
-    Design2Session,
-    DirectSession,
-    ManagedSession,
-    RainSession,
-    StringsSession,
-)
+from repro.core.sessions import DirectSession, ManagedSession
 from repro.core.systems import (
     CudaRuntimeSystem,
     Design2System,
@@ -50,7 +47,6 @@ __all__ = [
     "ContextPacker",
     "CudaRuntimeSystem",
     "DEFAULT_CONFIG",
-    "Design2Session",
     "Design2System",
     "DeviceStatus",
     "DeviceStatusTable",
@@ -65,13 +61,11 @@ __all__ = [
     "ManagedSession",
     "PackedApp",
     "PinnedMemoryTable",
-    "RainSession",
     "RainSystem",
     "RcbEntry",
     "RequestControlBlock",
     "SchedulerConfig",
     "SchedulerFeedbackTable",
-    "StringsSession",
     "StringsSystem",
     "TranslationStack",
     "native_stack",

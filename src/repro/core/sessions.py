@@ -1,14 +1,14 @@
-"""Concrete GPU sessions over the layered request pipeline.
+"""The application's GPU sessions over the layered request pipeline.
 
 A session is the application's view of the installed runtime stack.
-Every intercepted CUDA call flows through the same four layers
-(DESIGN.md §12), and the concrete sessions differ only in how each layer
-is parameterized:
+:class:`DirectSession` is the bare CUDA runtime.  :class:`ManagedSession`
+is the one scheduled session: every intercepted CUDA call flows through
+the same three layers (DESIGN.md §12), and the system that owns the
+session parameterizes them:
 
 * **frontend interposer** (:mod:`repro.remoting.interposer`) — call
-  capture + marshalling/wire/staging costs;
-* **transport** (:mod:`repro.remoting.transport`) — the shared-memory or
-  GigE channel to the backend, resolved at bind time;
+  capture + marshalling/wire/staging costs over the session's channel
+  to the backend (shared memory or GigE, resolved at bind time);
 * **backend issue loop** (:mod:`repro.remoting.worker`) — the FIFO loop
   modelling the backend thread that issues calls to the device: private
   per session (Designs I/III) or shared per device (Design II);
@@ -17,8 +17,9 @@ is parameterized:
   translations).
 
 ===============  ============  ============  ============  ============
-                 DirectSession  RainSession   Design2Session StringsSession
-                 (CUDA runtime) (Design I)    (Design II)    (Design III)
+                 CUDA runtime  RainSystem    Design2System StringsSystem
+                 (Direct-      (Design I)    (Design II)   (Design III)
+                 Session)
 ---------------  ------------  ------------  ------------  ------------
 device choice    programmed    balancer      balancer      balancer
 backend          own process   own backend   per-device    thread in
@@ -36,53 +37,38 @@ device policy    none          optional gate optional gate optional gate
 Cross-cutting concerns attach at exactly one place per layer: telemetry
 spans for staging at the interposer, queue-wait/gate-park/op spans in the
 issue loop, and the one abort hook (:meth:`ManagedSession.abort`, for
-tenant departures and injected faults alike) on the session base, which
+tenant departures and injected faults alike) on the session, which
 cancels only its own items on a shared loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.telemetry.categories import CAT_GATE, CAT_QUEUE, PHASE_CATEGORY
 from repro.sim import Environment, Event
 from repro.simgpu import CopyKind, CopyOp, KernelOp
 from repro.cuda.errors import CudaError, CudaErrorCode
-from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cuda import CudaThread, HostProcess
 from repro.remoting.interposer import FrontendInterposer
-from repro.remoting.rpc import RpcCostModel
 from repro.remoting.session import GpuSession
-from repro.remoting.transport import Transport
 from repro.remoting.worker import BackendIssueLoop, IssueItem
-from repro.core.affinity import Binding, GpuAffinityMapper
+from repro.core.affinity import Binding
 from repro.core.config import DEFAULT_CONFIG, SchedulerConfig
 from repro.core.gpool import DeviceHealth
 from repro.core.gpu_scheduler import GpuScheduler
-from repro.core.packer import ContextPacker, PackedApp
+from repro.core.packer import PackedApp
 from repro.core.rcb import GpuPhase, RcbEntry
-from repro.core.translation import (
-    TranslationStack,
-    native_stack,
-    packed_stack,
-    shared_thread_stack,
-)
-
-
-#: Module-level defaults mirroring :class:`SchedulerConfig` — kept so the
-#: bare-runtime path (no scheduler, no config) and direct callers of
-#: :func:`malloc_with_backpressure` keep working unchanged.
-_MALLOC_RETRY_S = DEFAULT_CONFIG.malloc_retry_s
-_MALLOC_MAX_WAIT_S = DEFAULT_CONFIG.malloc_max_wait_s
+from repro.core.translation import TranslationStack
 
 
 def malloc_with_backpressure(
     env: Environment,
     thread,
     nbytes: int,
-    retry_s: float = _MALLOC_RETRY_S,
-    max_wait_s: float = _MALLOC_MAX_WAIT_S,
+    retry_s: float = DEFAULT_CONFIG.malloc_retry_s,
+    max_wait_s: float = DEFAULT_CONFIG.malloc_max_wait_s,
 ):
     """cudaMalloc that waits out transient device-memory exhaustion.
 
@@ -109,8 +95,8 @@ class DirectSession(GpuSession):
 
     The application keeps its programmed device, runs in its own host
     process (own GPU context), and every call has native CUDA semantics.
-    No pipeline layers are involved: there is no interposer, transport or
-    backend issue loop — calls go straight to the thread.
+    No pipeline layers are involved: there is no interposer or backend
+    issue loop — calls go straight to the thread.
     """
 
     def __init__(self, env: Environment, app_name: str, node: Node, tenant_id: str = "t0") -> None:
@@ -208,61 +194,50 @@ class DirectSession(GpuSession):
 
 
 class ManagedSession(GpuSession):
-    """Shared machinery of every scheduled session (Designs I/II/III).
+    """The scheduled session of every backend design (Designs I/II/III).
 
-    Owns the pipeline: a :class:`FrontendInterposer` over a
-    :class:`Transport` for the frontend costs, a backend issue loop for
-    call issue, a :class:`TranslationStack` for call semantics, plus the
+    Owns the pipeline: a :class:`FrontendInterposer` for the frontend
+    costs and the channel, a backend issue loop for call issue and its
+    system's :class:`TranslationStack` for call semantics, plus the
     affinity-mapper binding, the device-scheduler registration and the
-    Request Monitor accounting.  Subclasses pick the translation stack
-    and the loop topology.  Each call is a generator the request drives
-    with ``yield from``: only the issue loop and the malloc retry loop
-    it waits on are processes.
+    Request Monitor accounting.  The owning system
+    (:mod:`repro.core.systems`) is the design: the session reads the
+    stack from it and calls its four hooks — ``_issue_loop`` on
+    construction, ``_bind_worker`` and ``_bound`` in :meth:`bind`, and
+    ``_release_worker`` on finish and abort.  Each call is a generator
+    the request drives with ``yield from``: only the issue loop and the
+    malloc retry loop it waits on are processes.
     """
-
-    #: Whether memcpys are translated to pinned-staged async copies (MOT).
-    ASYNC_MEMCPY = False
 
     def __init__(
         self,
-        env: Environment,
+        system,
         app_name: str,
         frontend_node: Node,
-        mapper: GpuAffinityMapper,
-        network: Network,
-        rpc: RpcCostModel,
         tenant_id: str = "t0",
         tenant_weight: float = 1.0,
-        binder: Optional[Callable[["ManagedSession", int], CudaThread]] = None,
-        config: SchedulerConfig = DEFAULT_CONFIG,
-        translation: Optional[TranslationStack] = None,
     ) -> None:
-        super().__init__(env, app_name, tenant_id)
+        super().__init__(system.env, app_name, tenant_id)
+        #: The owning system: mapper, device schedulers and design hooks.
+        self.system = system
         self.frontend_node = frontend_node
-        self.mapper = mapper
-        self.network = network
-        self.rpc = rpc
         self.tenant_weight = tenant_weight
-        self.config = config
-        #: Provided by the owning system: creates the backend worker for a
-        #: GID and installs ``session.scheduler`` (and packer, for packed
-        #: designs).
-        self.binder = binder
+        self.config: SchedulerConfig = system.config
 
-        #: Layer 2: the channel to the backend (local until bind resolves).
-        self.transport = Transport(network, rpc, local=True)
-        #: Layer 1: call capture + frontend-side costs.
-        self.interposer = FrontendInterposer(self, self.transport)
-        #: Layer 4: the call-semantics strategies.
-        self.translation = translation if translation is not None else self._default_translation()
+        #: Layer 1: call capture + the channel to the backend.
+        self.interposer = FrontendInterposer(self, system.network, system.rpc)
+        #: Layer 3: the design's call-semantics strategies.
+        self.translation: TranslationStack = system.translation
 
         self.binding: Optional[Binding] = None
         self.scheduler: Optional[GpuScheduler] = None
         self.entry: Optional[RcbEntry] = None
         self.worker: Optional[CudaThread] = None
-        #: Layer 3: the backend issue loop (None until attached, for
-        #: shared-loop designs).
-        self._loop: Optional[BackendIssueLoop] = self._make_issue_loop()
+        #: The Context Packer's record of this app, on packed designs.
+        self.packed: Optional[PackedApp] = None
+        #: Layer 2: the backend issue loop — private, or None until a
+        #: shared-loop design attaches the device's loop at bind time.
+        self._loop: Optional[BackendIssueLoop] = system._issue_loop(self)
         #: Completion event of the most recently *posted* GPU op (ordering
         #: anchor for synchronize under async translation).
         self._last_gpu_op: Optional[Event] = None
@@ -282,17 +257,6 @@ class ManagedSession(GpuSession):
         #: (telemetry, gid, TenantUsage) for the current binding.
         self._obs_row: Optional[tuple] = None
 
-    # -- pipeline topology hooks --------------------------------------------
-
-    def _default_translation(self) -> TranslationStack:
-        return native_stack()
-
-    def _make_issue_loop(self) -> Optional[BackendIssueLoop]:
-        """The session's backend issue loop.  Designs I/III own a private
-        loop; shared-loop designs return None here and attach the device's
-        loop at bind time."""
-        return BackendIssueLoop(self.env, name=f"issue:{self.app_name}")
-
     @property
     def aborted(self) -> bool:
         """True once :meth:`abort` killed this session (fault or churn).
@@ -303,15 +267,6 @@ class ManagedSession(GpuSession):
         use this flag to attribute such failures to the abort.
         """
         return self._aborted is not None
-
-    # -- plumbing provided by the owning system -----------------------------
-
-    def _make_worker(self, gid: int) -> CudaThread:
-        if self.binder is None:
-            raise RuntimeError(
-                f"session {self.app_name!r} has no backend binder installed"
-            )
-        return self.binder(self, gid)
 
     # -- observability hooks (only reached when telemetry is enabled) --------
 
@@ -453,30 +408,34 @@ class ManagedSession(GpuSession):
     # -- lifecycle ---------------------------------------------------------------------
 
     def bind(self, programmed_device: int = 0):
+        system = self.system
+        mapper = system.mapper
         # cudaSetDevice intercepted -> forwarded to the affinity mapper.
         yield self.interposer.request()
         self._check_aborted()
-        self.binding = self.mapper.bind(self.app_name, self.frontend_node.hostname)
+        self.binding = mapper.bind(self.app_name, self.frontend_node.hostname)
         gid = self.binding.gid
-        if self.mapper.pool.dst.row(gid).health is DeviceHealth.UNHEALTHY:
+        if mapper.pool.dst.row(gid).health is DeviceHealth.UNHEALTHY:
             # Placement fell back to a dead GPU (every one is down): fail
             # fast and retryably instead of respawning its backend.
-            self.mapper.unbind(self.binding)
+            mapper.unbind(self.binding)
             self._unbound = True
             raise CudaError(CudaErrorCode.NO_DEVICE, f"GPU {gid} is unavailable")
-        self.transport.local = self.mapper.pool.is_local(gid, self.frontend_node.hostname)
+        self.interposer.local = mapper.pool.is_local(gid, self.frontend_node.hostname)
         # Forward the binding to the backend on the target node.
         yield self.interposer.request()
         # Checked *before* creating the worker: binding to a crashed
         # backend must not silently respawn its device process.
         self._check_aborted()
-        self.worker = self._make_worker(gid)
+        self.scheduler = system.schedulers[gid]
+        self.worker = system._bind_worker(self, gid)
         self.entry = yield from self.scheduler.register(
             self.app_name, self.tenant_id, self.tenant_weight
         )
         self._check_aborted()
         yield self.interposer.response()
         self._check_aborted()
+        system._bound(self, gid)
         return gid
 
     def finish(self):
@@ -490,17 +449,13 @@ class ManagedSession(GpuSession):
         profile = None
         if self.scheduler is not None and self.entry is not None:
             profile = self.scheduler.unregister(self.entry)
-        self._teardown_worker()
+        self.system._release_worker(self)
         if self.binding is not None and not self._unbound:
-            self.mapper.unbind(self.binding)
+            self.system.mapper.unbind(self.binding)
             self._unbound = True
         # Feedback rides the thread-exit response: no extra message cost.
         yield self.interposer.response()
         return profile
-
-    def _teardown_worker(self) -> None:
-        if self.worker is not None:
-            self.worker.thread_exit()
 
     # -- aborts: tenant departures and injected faults ------------------------
 
@@ -518,9 +473,9 @@ class ManagedSession(GpuSession):
             and self.scheduler is not None
         ):
             self.scheduler.evict(self.entry)
-        self._teardown_worker()
+        self.system._release_worker(self)
         if self.binding is not None and not self._unbound:
-            self.mapper.unbind(self.binding)
+            self.system.mapper.unbind(self.binding)
             self._unbound = True
 
     def abort(self, exc: BaseException) -> None:
@@ -584,102 +539,8 @@ class ManagedSession(GpuSession):
         yield from self.translation.sync.run(self)
 
 
-class RainSession(ManagedSession):
-    """Design I: dedicated backend process, native call semantics.
-
-    Rain balances load across the gPool but cannot pack contexts: GPU
-    requests of co-located applications serialize with context switches,
-    synchronous memcpys hold the app (and its backend process) for the
-    full transfer, and the whole-context ``cudaDeviceSynchronize`` is
-    forwarded as-is.  Equivalent to :class:`ManagedSession` with the
-    :func:`~repro.core.translation.native_stack` and a private loop.
-    """
-
-
-class StringsSession(ManagedSession):
-    """Design III with full context packing.
-
-    The application's GPU component is a thread in the per-device backend
-    process; its ops ride a dedicated stream (SC/AST), sync memcpys are
-    staged to pinned memory and issued asynchronously (MOT), and device
-    synchronization narrows to the app's own stream (SST).
-    """
-
-    ASYNC_MEMCPY = True
-
-    def __init__(
-        self,
-        *args,
-        packer: Optional[ContextPacker] = None,
-        mot_enabled: bool = True,
-        sst_enabled: bool = True,
-        **kwargs,
-    ) -> None:
-        #: Ablation switches: disable the Memory Operation Translator
-        #: (sync pageable memcpys, like Rain) or the Sync Stream Translator
-        #: (device-wide synchronization inside the packed context).  Set
-        #: before ``super().__init__`` so :meth:`_default_translation` can
-        #: compose the stack from them.
-        self.mot_enabled = mot_enabled
-        self.sst_enabled = sst_enabled
-        self._packer = packer
-        self.packed: Optional[PackedApp] = None
-        super().__init__(*args, **kwargs)
-
-    def _default_translation(self) -> TranslationStack:
-        return packed_stack(mot_enabled=self.mot_enabled, sst_enabled=self.sst_enabled)
-
-    def _set_packer(self, packer: ContextPacker) -> None:
-        self._packer = packer
-
-    def bind(self, programmed_device: int = 0):
-        gid = yield from super().bind(programmed_device)
-        self.packed = self._packer.pack(self.worker, self.tenant_id)
-        return gid
-
-    def _teardown_worker(self) -> None:
-        if self.packed is not None:
-            self._packer.unpack(self.packed)
-        super()._teardown_worker()
-
-
-class Design2Session(StringsSession):
-    """Design II: packed context, but ONE shared issue thread per device.
-
-    The paper's middle design (Fig. 5): every resident tenant's calls
-    funnel through the device master's single
-    :class:`~repro.remoting.worker.BackendIssueLoop`, so a blocking call
-    (a sync memcpy leg, a stream sync) from one application stalls every
-    other tenant's queued calls — head-of-line blocking.  Translations
-    are the packed-context ones (per-app streams via SC/AST, MOT
-    staging), but the sync strategy deliberately *occupies the master*
-    (:class:`~repro.core.translation.QueuedStreamSync`) instead of
-    waiting frontend-side like Design III.
-    """
-
-    def _default_translation(self) -> TranslationStack:
-        return shared_thread_stack(mot_enabled=self.mot_enabled)
-
-    def _make_issue_loop(self) -> Optional[BackendIssueLoop]:
-        # The device master's shared loop is attached at bind time.
-        return None
-
-    def _attach_shared_loop(self, loop: BackendIssueLoop) -> None:
-        self._loop = loop
-
-    def _teardown_worker(self) -> None:
-        # The master thread is shared with every co-resident tenant: only
-        # unpack this app's stream, never exit the thread.
-        if self.packed is not None:
-            self._packer.unpack(self.packed)
-            self.packed = None
-
-
 __all__ = [
-    "Design2Session",
     "DirectSession",
     "ManagedSession",
-    "RainSession",
-    "StringsSession",
     "malloc_with_backpressure",
 ]

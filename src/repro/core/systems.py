@@ -14,11 +14,10 @@
   device feedback to the balancer.
 
 A system is constructed once per experiment over a set of nodes and hands
-out one :class:`GpuSession` per application request.  The scheduled
-systems share one session factory: :meth:`_ScheduledSystem.session`
-builds the session from the class's ``SESSION_CLS`` and the subclass's
-:meth:`_bind_worker` hook, which maps a bound GID onto the design's
-backend worker (per-app process / shared master / per-app thread).
+out one :class:`GpuSession` per application request.  Each scheduled
+system is one backend design (paper Fig. 5): every session it hands out
+is a :class:`ManagedSession`, which shares the system's translation stack
+and calls the design hooks of :class:`_ScheduledSystem` on it.
 """
 
 from __future__ import annotations
@@ -28,8 +27,10 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.sim import Environment
 from repro.cluster.network import Network
 from repro.cluster.node import Node
+from repro.cuda import CudaThread
 from repro.remoting.backend import BackendDaemon
 from repro.remoting.rpc import RpcCostModel
+from repro.remoting.worker import BackendIssueLoop
 from repro.core.affinity import GpuAffinityMapper
 from repro.core.config import DEFAULT_CONFIG, SchedulerConfig
 from repro.core.feedback import SchedulerFeedbackTable
@@ -39,12 +40,12 @@ from repro.core.packer import ContextPacker
 from repro.core.policies.balancing import BalancingPolicy, GRR
 from repro.core.policies.device import AlwaysAwake, DevicePolicy
 from repro.core.policies.feedback import FeedbackPolicy
-from repro.core.sessions import (
-    Design2Session,
-    DirectSession,
-    ManagedSession,
-    RainSession,
-    StringsSession,
+from repro.core.sessions import DirectSession, ManagedSession
+from repro.core.translation import (
+    TranslationStack,
+    native_stack,
+    packed_stack,
+    shared_thread_stack,
 )
 
 #: Factory for per-device policy instances (each device gets its own loop).
@@ -74,11 +75,21 @@ class CudaRuntimeSystem:
 
 class _ScheduledSystem:
     """Shared base of the scheduled systems: pool + mapper + device
-    schedulers, and the one session factory they all use."""
+    schedulers, the one session factory, and the design hooks a session
+    calls on its system: ``_issue_loop`` when it is made,
+    ``_bind_worker`` and ``_bound`` in its bind, ``_release_worker`` on
+    finish and abort.
+
+    A subclass is one backend design: it sets :attr:`translation`,
+    defines :meth:`_bind_worker`, and overrides the other hooks where its
+    backend differs from a private issue loop and a worker thread of the
+    session's own.
+    """
 
     name = "?"
-    #: The session class :meth:`session` instantiates.
-    SESSION_CLS: type = ManagedSession
+    #: The call-semantics strategies every session of this system shares
+    #: (the strategies hold no state).
+    translation: TranslationStack
 
     def __init__(
         self,
@@ -120,10 +131,6 @@ class _ScheduledSystem:
                 feedback_sink=self.mapper.deliver_feedback,
             )
 
-    def _daemon_for(self, gid: int) -> BackendDaemon:
-        entry = self.pool.gmap.lookup(gid)
-        return self.daemons[entry.hostname]
-
     def label(self) -> str:
         """Experiment label, e.g. ``GWtMin+LAS-Strings``.
 
@@ -137,19 +144,6 @@ class _ScheduledSystem:
 
     # -- the shared session factory -----------------------------------------
 
-    def _session_kwargs(self) -> dict:
-        """Extra keyword arguments for ``SESSION_CLS``."""
-        return {}
-
-    def _bind_worker(self, sess: ManagedSession, gid: int, entry, daemon: BackendDaemon):
-        """Map a bound GID onto the design's backend worker.
-
-        Called from inside the session's bind, after the scheduler is
-        installed; returns the :class:`~repro.cuda.CudaThread` the
-        session issues on.
-        """
-        raise NotImplementedError
-
     def session(
         self,
         app_name: str,
@@ -158,66 +152,92 @@ class _ScheduledSystem:
         tenant_weight: float = 1.0,
     ) -> ManagedSession:
         """A balanced session backed by this design's backend worker."""
+        return ManagedSession(self, app_name, frontend_node, tenant_id, tenant_weight)
 
-        def binder(sess: ManagedSession, gid: int):
-            entry = self.pool.gmap.lookup(gid)
-            daemon = self._daemon_for(gid)
-            sess.scheduler = self.schedulers[gid]
-            return self._bind_worker(sess, gid, entry, daemon)
+    # -- design hooks, called by ManagedSession -----------------------------
 
-        return self.SESSION_CLS(
-            self.env,
-            app_name,
-            frontend_node,
-            self.mapper,
-            self.network,
-            self.rpc,
-            tenant_id=tenant_id,
-            tenant_weight=tenant_weight,
-            binder=binder,
-            config=self.config,
-            **self._session_kwargs(),
-        )
+    def _issue_loop(self, sess: ManagedSession) -> Optional[BackendIssueLoop]:
+        """The session's issue loop, made when the session is: a private
+        loop per session (Designs I/III)."""
+        return BackendIssueLoop(self.env, name=f"issue:{sess.app_name}")
+
+    def _bind_worker(self, sess: ManagedSession, gid: int) -> CudaThread:
+        """Map a bound GID onto the design's backend worker.
+
+        Called from inside the session's bind, once ``sess.scheduler`` is
+        installed; returns the thread the session issues on.
+        """
+        raise NotImplementedError
+
+    def _bound(self, sess: ManagedSession, gid: int) -> None:
+        """The last step of a successful bind (after the response hop)."""
+
+    def _release_worker(self, sess: ManagedSession) -> None:
+        """Release the session's worker on finish or abort; may run twice."""
+        if sess.worker is not None:
+            sess.worker.thread_exit()
 
 
 class RainSystem(_ScheduledSystem):
-    """The authors' earlier Design I scheduler (no context packing)."""
+    """The authors' earlier Design I scheduler (no context packing).
+
+    Rain balances load across the gPool but cannot pack contexts: GPU
+    requests of co-located applications serialize with context switches,
+    synchronous memcpys hold the app (and its backend process) for the
+    full transfer, and the whole-context ``cudaDeviceSynchronize`` is
+    forwarded as-is (:func:`~repro.core.translation.native_stack`).
+    """
 
     name = "Rain"
-    SESSION_CLS = RainSession
+    translation = native_stack()
 
-    def _bind_worker(self, sess, gid, entry, daemon):
+    def _bind_worker(self, sess, gid):
         """A dedicated backend process (own GPU context) for one app."""
-        return daemon.design1_worker(sess.app_name, entry.local_id)
+        entry = self.pool.gmap.lookup(gid)
+        return self.daemons[entry.hostname].design1_worker(sess.app_name, entry.local_id)
 
 
 class StringsSystem(_ScheduledSystem):
     """The paper's contribution: Design III + context packing + feedback.
 
+    Each application's GPU component is a thread in the per-device
+    backend process; its ops ride a dedicated stream (SC/AST), sync
+    memcpys are staged to pinned memory and issued asynchronously (MOT),
+    and device synchronization narrows to the app's own stream (SST).
     ``mot_enabled`` / ``sst_enabled`` are ablation switches for the Memory
     Operation Translator and Sync Stream Translator (DESIGN.md §5).
     """
 
     name = "Strings"
-    SESSION_CLS = StringsSession
 
     def __init__(self, *args, mot_enabled: bool = True, sst_enabled: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.mot_enabled = mot_enabled
         self.sst_enabled = sst_enabled
+        self.translation = self._packed_stack()
         #: One Context Packer (and PMT) per device.
         self.packers: Dict[int, ContextPacker] = {
             gid: ContextPacker() for gid in self.pool.gids()
         }
 
-    def _session_kwargs(self) -> dict:
-        return {"mot_enabled": self.mot_enabled, "sst_enabled": self.sst_enabled}
+    def _packed_stack(self) -> TranslationStack:
+        return packed_stack(mot_enabled=self.mot_enabled, sst_enabled=self.sst_enabled)
 
-    def _bind_worker(self, sess, gid, entry, daemon):
+    def _bind_worker(self, sess, gid):
         """A backend *thread* in the per-device process: shares that
         process's single GPU context with every co-located tenant."""
-        sess._set_packer(self.packers[gid])
-        return daemon.design3_worker(sess.app_name, entry.local_id)
+        entry = self.pool.gmap.lookup(gid)
+        return self.daemons[entry.hostname].design3_worker(sess.app_name, entry.local_id)
+
+    def _bound(self, sess, gid):
+        """Pack the app into the device's context (SC: its own stream)."""
+        sess.packed = self.packers[gid].pack(sess.worker, sess.tenant_id)
+
+    def _release_worker(self, sess):
+        """Unpack the app, then exit its backend thread."""
+        if sess.packed is not None:
+            self.packers[sess.binding.gid].unpack(sess.packed)
+        super()._release_worker(sess)
 
 
 class Design2System(StringsSystem):
@@ -227,21 +247,38 @@ class Design2System(StringsSystem):
     shared master issue thread per device: every resident tenant's calls
     funnel through the master's
     :class:`~repro.remoting.worker.BackendIssueLoop`, so a blocking call
-    from one application stalls every other tenant's queued calls.  Run
-    next to :class:`RainSystem`/:class:`StringsSystem` by the ablation
-    harness to measure that head-of-line-blocking penalty.
+    (a sync memcpy leg, a stream sync) from one application stalls every
+    other tenant's queued calls — head-of-line blocking.  The sync
+    strategy deliberately *occupies the master*
+    (:class:`~repro.core.translation.QueuedStreamSync`) instead of
+    waiting frontend-side like Design III.  Run next to
+    :class:`RainSystem`/:class:`StringsSystem` by the ablation harness to
+    measure that head-of-line-blocking penalty.
     """
 
     name = "Design2"
-    SESSION_CLS = Design2Session
 
-    def _bind_worker(self, sess, gid, entry, daemon):
+    def _packed_stack(self) -> TranslationStack:
+        return shared_thread_stack(mot_enabled=self.mot_enabled)
+
+    def _issue_loop(self, sess):
+        """None: the device master's shared loop is attached at bind."""
+        return None
+
+    def _bind_worker(self, sess, gid):
         """The device's shared master: the session issues on the master's
         one thread, through the master's shared loop."""
-        sess._set_packer(self.packers[gid])
-        master = daemon.design2_worker(sess.app_name, entry.local_id)
-        sess._attach_shared_loop(master.loop)
+        entry = self.pool.gmap.lookup(gid)
+        master = self.daemons[entry.hostname].design2_worker(sess.app_name, entry.local_id)
+        sess._loop = master.loop
         return master.thread
+
+    def _release_worker(self, sess):
+        """Unpack this app's stream only: the master thread is shared with
+        every co-resident tenant and is never exited."""
+        if sess.packed is not None:
+            self.packers[sess.binding.gid].unpack(sess.packed)
+            sess.packed = None
 
 
 __all__ = [

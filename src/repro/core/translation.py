@@ -1,4 +1,4 @@
-"""Composable call translators: the TranslationStack (pipeline layer 4).
+"""Composable call translators: the TranslationStack (pipeline layer 3).
 
 The paper's Context Packer translations — Stream Creator (SC), Auto
 Stream Translator (AST), Sync Stream Translator (SST), Memory Operation

@@ -214,6 +214,13 @@ def boolean(value) -> bool:
     return value
 
 
+def positive_int(value) -> int:
+    """A parser admitting a whole number > 0 (not a bool, not a float)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"got {value!r}; expects a whole number > 0")
+    return value
+
+
 @dataclass
 class ExperimentContext:
     """Everything a phase may read: size knobs, options, output paths.
@@ -680,6 +687,7 @@ __all__ = [
     "one_of",
     "parse_emit",
     "parse_option",
+    "positive_int",
     "prepare",
     "register",
     "report_tolerances",

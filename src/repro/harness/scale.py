@@ -152,6 +152,8 @@ def parse_loads(value) -> Tuple[float, ...]:
         value = [tok for tok in value.split(",") if tok.strip()]
     elif not isinstance(value, (list, tuple)):
         value = [value]
+    if any(isinstance(m, bool) for m in value):
+        raise ValueError(f"multipliers must be numbers, got {value!r}")
     try:
         loads = tuple(sorted(float(m) for m in value))
     except (TypeError, ValueError):
@@ -160,6 +162,10 @@ def parse_loads(value) -> Tuple[float, ...]:
         raise ValueError("needs at least one multiplier")
     if any(m <= 0 for m in loads):
         raise ValueError(f"multipliers must be > 0, got {value!r}")
+    if len(set(loads)) < len(loads):
+        # A repeated point has no extra offered load, so find_knee would
+        # read its marginal efficiency as 0 and stop the knee there.
+        raise ValueError(f"multipliers must be distinct, got {value!r}")
     return loads
 
 

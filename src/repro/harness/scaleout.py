@@ -64,7 +64,7 @@ class Scaleout(registry.Experiment):
 
     def prepare(self, ctx: registry.ExperimentContext) -> None:
         self.system = ctx.parsed_option("system", registry.one_of(SYSTEMS), "strings")
-        self.max_nodes = ctx.parsed_option("max_nodes", int, 4)
+        self.max_nodes = ctx.parsed_option("max_nodes", registry.positive_int, 4)
 
     def run(self, ctx: registry.ExperimentContext):
         """Mean completion time and speedup vs the 1-node deployment, per
@@ -103,9 +103,10 @@ class Scaleout(registry.Experiment):
 
     def analyze(self, data, ctx: registry.ExperimentContext) -> str:
         system = str(ctx.option("system", "strings"))
+        # A round-tripped document's keys are strings: sort them as numbers.
         rows = [
             [n, d["gpus"], d["mean_completion_s"], d["speedup_vs_1node"]]
-            for n, d in sorted(data.items())
+            for n, d in sorted(data.items(), key=lambda item: int(item[0]))
         ]
         name = SYSTEMS[system].name
         return format_table(

@@ -96,25 +96,11 @@ from repro.telemetry import (
     Stopwatch,
     Telemetry,
     TenantUsage,
+    current,
+    install,
     merged_quantile,
+    reset,
 )
-
-import repro.telemetry as _telemetry
-
-
-def install(telemetry: Telemetry) -> Telemetry:
-    """Make ``telemetry`` the process-wide default registry."""
-    return _telemetry.install(telemetry)
-
-
-def current() -> Telemetry:
-    """The installed default registry (the null registry unless installed)."""
-    return _telemetry.current()
-
-
-def reset() -> None:
-    """Restore the null default registry."""
-    _telemetry.reset()
 
 
 __all__ = [

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.telemetry.instruments import Span, Telemetry
-from repro.obs.spans import (
+from repro.telemetry.categories import (
     CAT_BIND,
     CAT_COPY,
     CAT_CPU,

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.obs.analysis import analyze
 from repro.telemetry.instruments import Counter, Gauge, Histogram, Telemetry
-from repro.obs.spans import CAT_REQUEST, mean_phase_latency, phase_breakdown, request_spans
+from repro.obs.spans import mean_phase_latency, phase_breakdown, request_spans
 
 _US = 1e6  # simulated seconds -> trace microseconds
 

@@ -24,28 +24,15 @@ cpu         the application's host-side compute phases (the offload
 
 The category constants live in :mod:`repro.telemetry.categories` (the
 bottom-layer instrument kernel, so the session pipeline can tag spans
-without importing ``repro.obs``) and are re-exported here; this module
-adds the post-run queries that make per-phase latency breakdowns "fall
-out" of any traced run.
+without importing ``repro.obs``); this module adds the post-run queries
+that make per-phase latency breakdowns "fall out" of any traced run.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.telemetry.categories import (  # noqa: F401
-    CAT_BIND,
-    CAT_CPU,
-    CAT_DEFAULT,
-    CAT_GATE,
-    CAT_KERNEL,
-    CAT_COPY,
-    CAT_QUEUE,
-    CAT_REQUEST,
-    CAT_STAGING,
-    PHASE_CATEGORY,
-    REQUEST_PHASES,
-)
+from repro.telemetry.categories import CAT_REQUEST
 from repro.telemetry.instruments import Span, Telemetry
 
 
@@ -94,17 +81,6 @@ def mean_phase_latency(telemetry: Telemetry, cat: str) -> float:
 
 
 __all__ = [
-    "CAT_BIND",
-    "CAT_COPY",
-    "CAT_CPU",
-    "CAT_DEFAULT",
-    "CAT_GATE",
-    "CAT_KERNEL",
-    "CAT_QUEUE",
-    "CAT_REQUEST",
-    "CAT_STAGING",
-    "PHASE_CATEGORY",
-    "REQUEST_PHASES",
     "children_of",
     "mean_phase_latency",
     "phase_breakdown",

@@ -48,7 +48,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.analysis import RunProfile, _profile_batches
 from repro.telemetry.instruments import Span
-from repro.obs.spans import CAT_REQUEST
+from repro.telemetry.categories import CAT_REQUEST
 
 _SHARD_PREFIX = "spans-"
 _SHARD_SUFFIX = ".jsonl"

@@ -7,13 +7,12 @@ Fig. 3).  This package provides the pipeline's shared machinery
 (DESIGN.md §12):
 
 * :class:`~repro.remoting.interposer.FrontendInterposer` — layer 1: the
-  call-capture side; spends marshalling/shipping/staging time on behalf
-  of a session;
-* :class:`~repro.remoting.transport.Transport` — layer 2: the channel to
-  the backend, bundling the interconnect with the
-  :class:`~repro.remoting.rpc.RpcCostModel` (shared-memory locally, GigE
-  remotely; fault-aware through the network object);
-* :class:`~repro.remoting.worker.BackendIssueLoop` — layer 3: the one
+  call-capture side and the session's channel to the backend; prices
+  marshalling/hops/shipping/staging with the
+  :class:`~repro.remoting.rpc.RpcCostModel` over the interconnect
+  (shared-memory locally, GigE remotely; fault-aware through the network
+  object);
+* :class:`~repro.remoting.worker.BackendIssueLoop` — layer 2: the one
   FIFO call-issue loop every backend design shares; the designs differ
   only in who shares a loop instance;
 * :class:`~repro.remoting.backend.BackendDaemon` — the per-node daemon,
@@ -22,11 +21,11 @@ Fig. 3).  This package provides the pipeline's shared machinery
   device, :class:`~repro.remoting.backend.DesignIIMaster`), Design III
   (thread per app inside a per-device process — Strings);
 * :class:`~repro.remoting.session.GpuSession` — the abstract app-facing
-  handle implemented by each runtime system in :mod:`repro.core.systems`.
+  handle; :mod:`repro.core.sessions` implements it, and each backend
+  design is one system class in :mod:`repro.core.systems`.
 """
 
 from repro.remoting.rpc import RpcCostModel
-from repro.remoting.transport import Transport
 from repro.remoting.interposer import FrontendInterposer
 from repro.remoting.worker import BackendIssueLoop, IssueItem
 from repro.remoting.backend import BackendDaemon, DesignIIMaster
@@ -40,5 +39,4 @@ __all__ = [
     "GpuSession",
     "IssueItem",
     "RpcCostModel",
-    "Transport",
 ]

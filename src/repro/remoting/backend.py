@@ -92,7 +92,6 @@ class BackendDaemon:
         self._device_procs: Dict[int, HostProcess] = {}
         #: Design II: one master thread per local device.
         self._masters: Dict[int, DesignIIMaster] = {}
-        self.workers_created = 0
 
     # -- gPool support ----------------------------------------------------
 
@@ -112,7 +111,6 @@ class BackendDaemon:
         )
         thread = proc.spawn_thread()
         thread.set_device(local_device)
-        self.workers_created += 1
         self._count_worker("design1")
         return thread
 
@@ -141,7 +139,6 @@ class BackendDaemon:
         ``master.thread`` through ``master.loop``.
         """
         master = self.design2_master(local_device)
-        self.workers_created += 1
         self._count_worker("design2")
         return master
 
@@ -164,7 +161,6 @@ class BackendDaemon:
         proc = self._device_process(local_device)
         thread = proc.spawn_thread()
         thread.set_device(local_device)
-        self.workers_created += 1
         self._count_worker("design3")
         return thread
 

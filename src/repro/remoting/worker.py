@@ -1,4 +1,4 @@
-"""The backend worker layer (pipeline layer 3): one shared issue loop.
+"""The backend worker layer (pipeline layer 2): one shared issue loop.
 
 Every backend design in paper Fig. 5 boils down to the same loop — pop
 the next intercepted call off a FIFO, pass the dispatch gate when a

@@ -28,8 +28,8 @@ and re-exports its public names, so user-facing code keeps importing
 
 The **default registry** lives here as a process-wide slot consulted by
 :class:`~repro.sim.core.Environment` when no registry is passed
-explicitly; :func:`repro.obs.install` and :func:`repro.obs.reset`
-delegate to :func:`install` / :func:`reset` below.
+explicitly; :mod:`repro.obs` re-exports the :func:`install`,
+:func:`current` and :func:`reset` defined below.
 """
 
 from repro.telemetry.attribution import (

@@ -9,7 +9,7 @@ from repro.cluster import build_single_gpu_server, build_small_server
 from repro.core import Design2System, RainSystem, StringsSystem
 from repro.core.gpool import DeviceHealth
 from repro.core.policies import GMin
-from repro.core.sessions import Design2Session
+from repro.core.sessions import ManagedSession
 from repro.core.translation import QueuedStreamSync, StagedAsyncCopy
 from repro.apps import app_by_short, run_request
 from repro.faults import parse_fault_spec
@@ -40,7 +40,8 @@ def test_design2_completes_mixed_workload():
     )
     assert all(r.finish_s > 0 for r in results.values())
     assert system.label() == "GMin-Design2"
-    assert all(isinstance(s, Design2Session) for s in sessions)
+    assert all(isinstance(s, ManagedSession) for s in sessions)
+    assert all(s.system is system for s in sessions)
 
 
 def test_design2_tenants_share_one_master_thread_and_loop():

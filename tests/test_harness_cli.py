@@ -303,6 +303,12 @@ def test_cli_rejects_bad_loads(capsys):
         ("fig9", "apps", '["XX"]'),
         ("fig9", "policies", "[]"),
         ("fig15", "cuda_headline", "no"),
+        ("scaleout", "max_nodes", "0"),
+        ("scaleout", "max_nodes", "-1"),
+        ("scaleout", "max_nodes", "2.5"),
+        ("scaleout", "max_nodes", "true"),
+        ("scale", "loads", "true"),
+        ("scale", "loads", "[1,1,2]"),
     ],
 )
 def test_cli_rejects_bad_option_values_before_simulating(capsys, monkeypatch, name, key, value):

@@ -1,9 +1,10 @@
 """Unit tests for the request-pipeline layers (DESIGN.md §12).
 
-Layer by layer: the Transport cost arithmetic, the FrontendInterposer's
-bind-time locality flip, the shared BackendIssueLoop (FIFO order, async
-pipelining, per-owner cancellation, error marshalling), the composable
-TranslationStack, plus the label() zero-GPU guard and the malloc knobs
+Layer by layer: the FrontendInterposer's channel (the RpcCostModel cost
+arithmetic and the bind-time locality flip), the shared BackendIssueLoop
+(FIFO order, async pipelining, per-owner cancellation, error
+marshalling), the composable TranslationStack, each design system's
+worker release, plus the label() zero-GPU guard and the malloc knobs
 that moved into SchedulerConfig.
 """
 
@@ -13,6 +14,7 @@ from repro.sim import Environment
 from repro.cluster import Network, Node, build_single_gpu_server
 from repro.core import (
     DEFAULT_CONFIG,
+    Design2System,
     RainSystem,
     SchedulerConfig,
     StringsSystem,
@@ -33,37 +35,33 @@ from repro.core.translation import (
     StreamPageableCopy,
     StreamSync,
 )
-from repro.remoting import BackendIssueLoop, IssueItem, RpcCostModel, Transport
+from repro.remoting import BackendIssueLoop, IssueItem, RpcCostModel
 from repro.apps import app_by_short, run_request
 
 
-# -- layer 2: Transport ------------------------------------------------------
+# -- layer 1: the interposer's channel ---------------------------------------
 
 
 def test_transport_roundtrip_is_request_plus_response():
-    t = Transport(Network(), RpcCostModel(), local=True)
-    assert t.roundtrip_s(128) == pytest.approx(t.request_s(128) + t.response_s())
+    net, rpc = Network(), RpcCostModel()
+    assert rpc.roundtrip_delay(net, True, 128) == pytest.approx(
+        rpc.request_delay(net, True, 128) + rpc.response_delay(net, True)
+    )
 
 
 def test_transport_remote_costs_more_than_local():
     net, rpc = Network(), RpcCostModel()
-    local = Transport(net, rpc, local=True)
-    remote = Transport(net, rpc, local=False)
-    assert remote.request_s() > local.request_s()
-    assert remote.roundtrip_s() > local.roundtrip_s()
-    assert remote.bulk_s(1 << 20) > local.bulk_s(1 << 20)
+    assert rpc.request_delay(net, False) > rpc.request_delay(net, True)
+    assert rpc.roundtrip_delay(net, False) > rpc.roundtrip_delay(net, True)
+    assert rpc.bulk_data_delay(net, False, 1 << 20) > rpc.bulk_data_delay(net, True, 1 << 20)
 
 
 def test_transport_staging_is_host_side_only():
-    # MOT staging is a host memcpy: the same whether the GPU is local
-    # or remote, and scales linearly in bytes.
-    net, rpc = Network(), RpcCostModel()
-    local = Transport(net, rpc, local=True)
-    remote = Transport(net, rpc, local=False)
-    assert local.staging_s(1 << 20) == remote.staging_s(1 << 20)
-    assert local.staging_s(2 << 20) == pytest.approx(2 * local.staging_s(1 << 20))
-    assert local.staging_s(0) == 0.0
-    assert local.marshal_s == rpc.marshal_s
+    # MOT staging is a host memcpy: it takes no network or locality, and
+    # scales linearly in bytes.
+    rpc = RpcCostModel()
+    assert rpc.staging_delay(2 << 20) == pytest.approx(2 * rpc.staging_delay(1 << 20))
+    assert rpc.staging_delay(0) == 0.0
 
 
 def test_interposer_locality_flips_at_bind():
@@ -72,15 +70,15 @@ def test_interposer_locality_flips_at_bind():
     system = StringsSystem(env, nodes, net, balancing=GMin())
     sess = system.session("MC", nodes[0])
     # Pre-bind, the interception hop is node-local by construction.
-    assert sess.transport.local is True
-    assert sess.interposer.transport is sess.transport
+    assert sess.interposer.local is True
+    assert sess.interposer.network is net
     env.process(run_request(env, sess, app_by_short("MC")))
     env.run()
     # The only GPU shares the frontend's node, so it stays local.
-    assert sess.transport.local is True
+    assert sess.interposer.local is True
 
 
-# -- layer 3: BackendIssueLoop -----------------------------------------------
+# -- layer 2: BackendIssueLoop -----------------------------------------------
 
 
 def _item(env, make, blocking, gated=False):
@@ -211,7 +209,7 @@ def test_cancel_owner_spares_other_tenants():
     assert loop.depth == 1
 
 
-# -- layer 4: TranslationStack -----------------------------------------------
+# -- layer 3: TranslationStack -----------------------------------------------
 
 
 def test_stack_factories_compose_the_right_strategies():
@@ -249,6 +247,42 @@ def test_sessions_get_their_design_stack():
     strings = StringsSystem(env, nodes, net, balancing=GMin()).session("MC", nodes[0])
     assert isinstance(strings.translation.copy, StagedAsyncCopy)
     assert isinstance(strings.translation.sync, StreamSync)
+
+
+# -- each design system releases its worker its own way ----------------------
+
+
+@pytest.mark.parametrize("how", ["finish", "abort"])
+@pytest.mark.parametrize(
+    "system_cls, exits_thread, packs",
+    [
+        (RainSystem, True, False),
+        (StringsSystem, True, True),
+        (Design2System, False, True),
+    ],
+)
+def test_each_design_releases_its_worker_its_own_way(system_cls, exits_thread, packs, how):
+    env = Environment()
+    nodes, net = build_single_gpu_server(env)
+    system = system_cls(env, nodes, net, balancing=GMin())
+    sess = system.session("MC", nodes[0])
+    env.process(sess.bind())
+    env.run()
+    packers = getattr(system, "packers", {}).values()
+    assert sum(p.packed_count for p in packers) == int(packs)
+
+    if how == "finish":
+        env.process(sess.finish())
+        env.run()
+    else:
+        sess.abort(RuntimeError("tenant gone"))
+
+    # Rain's process thread and Strings' per-app thread exit; Design II's
+    # worker is the device master's one thread, which outlives its tenants.
+    assert sess.worker.exited is exits_thread
+    assert sum(p.packed_count for p in packers) == 0
+    if system_cls is Design2System:
+        assert sess.packed is None
 
 
 # -- satellite: label() on a zero-GPU pool -----------------------------------

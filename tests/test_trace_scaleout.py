@@ -156,6 +156,20 @@ def test_scaleout_monotone_improvement():
     assert data["1"]["speedup_vs_1node"] == pytest.approx(1.0)
 
 
+def test_scaleout_rows_sort_by_node_count_after_roundtrip():
+    # Eleven gPool sizes as results.json holds them: the keys are strings,
+    # so a plain sort would print 1, 10, 11, 2, ...
+    data = registry.roundtrip({
+        n: {"gpus": 2 * n, "mean_completion_s": 10.0 / n, "speedup_vs_1node": float(n)}
+        for n in range(1, 12)
+    })
+    text = registry.get("scaleout")().analyze(data, registry.ExperimentContext())
+    rows = [line.split() for line in text.splitlines()]
+    assert [row[0] for row in rows if row and row[0].isdigit()] == [
+        str(n) for n in range(1, 12)
+    ]
+
+
 def test_n_node_cluster_builder():
     from repro.sim import Environment
 
